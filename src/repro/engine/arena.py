@@ -1,63 +1,75 @@
-"""Flat array-of-ints shape arena: the engine's native shape representation.
+"""Shape arena: the engine's canonical identity for full-state shapes.
 
-Full-state shapes used to live exclusively as nested label tuples (the
-hash-consed cons form).  Every hot operation on them — interning, stable
-hashing, store reverse lookups, wire decode — walked per-node Python objects.
-The arena flattens each distinct full-state shape into one **row**:
+Every distinct full-state shape the engine meets becomes one **row**, a
+small int that every consumer compares instead of a nested tuple.  A row
+carries, when first asked for, its **canonical binary encoding** —
+byte-for-byte the :func:`~repro.io.serialization.encode_shape_binary`
+store-row format — and the CRC digest of that encoding, so
+``stable_shape_hash`` is one CRC over cached bytes
+(:func:`repro.engine._codec.arena_hash`, C-accelerated when available)
+instead of a fresh recursive encode.
 
-* the row's nodes are ``(label_id, first_child, next_sibling)`` triples,
-  stored contiguously in one shared ``array('i')`` (``-1`` = none), with
-  labels interned once into an arena-global label table;
-* the row caches its **canonical binary encoding** — byte-for-byte the
-  :func:`~repro.io.serialization.encode_shape_binary` store-row format — so
-  ``stable_shape_hash`` becomes one CRC over cached bytes
-  (:func:`repro.engine._codec.arena_hash`, C-accelerated when available)
-  instead of a fresh recursive encode;
-* rows are **deduplicated by that encoding**: the encoding is injective and
-  order-preserving, so byte equality is shape equality, and every consumer
-  can compare rows as small ints.
+Rows enter the arena two ways:
 
-Layout of one 3-node row (root ``a`` with children ``b``, ``c``)::
+* :meth:`ShapeArena.intern_cons` takes a nested-tuple shape.  A tuple→row
+  memo deduplicates it, and the row's encoding is **deferred** until
+  :meth:`~ShapeArena.encoded` or :meth:`~ShapeArena.stable_hash` first asks
+  for it.  A store-less exploration interns many more shapes than it ever
+  encodes, so most rows stay one memo entry;
+* :meth:`ShapeArena.intern_preorder` / :meth:`~ShapeArena.intern_preorder_flat`
+  take the wire decoder's preorder ``(label id, child count)`` runs and
+  deduplicate by encoding, which they assemble from cached label framings
+  without building a tuple.
 
-    nodes:   [ a,  +1, -1 ][ b, +1, +1 ][ c, -1, -1 ]
-               |   |   |
-               |   |   next_sibling (node index, -1 = last sibling)
-               |   first_child (node index, -1 = leaf)
-               label_id (index into the arena label table)
+The encoding is injective and order-preserving, so byte equality is shape
+equality.  The tuple memo can only answer for shapes that came in as
+tuples, so before the first encoding-keyed probe (a preorder intern,
+:meth:`~ShapeArena.find_cons`, :meth:`~ShapeArena.drop_cons_cache`) every
+row is encoded and indexed by its bytes, and from then on ``intern_cons``
+encodes eagerly.  Either way a shape lands on one row.
 
-The cons form does not disappear: guard keys, shape maps and the incremental
-shaper still speak nested tuples, and :meth:`ShapeArena.cons_of` materialises
-a row back into one (memoized; the memo is droppable under residency budgets
-because the triples remain the ground truth).  What changes is that the
-:class:`~repro.engine.interning.ShapeInterner`'s id tier, the store fallback
-(digest + encoded bytes precomputed per row) and the wire decode path
-(:meth:`WireFrame.shape_rows <repro.engine.wire.WireFrame.shape_rows>`) all
-operate on rows, so the per-successor tuple churn is gone from the hot path.
+The tuple memos are droppable under residency budgets: the encodings are
+the ground truth, and :meth:`ShapeArena.cons_of` decodes a row back into its
+tuple on demand.
 
 The arena is append-only and content-addressed: a row id, once returned, is
 valid for the arena's lifetime.  Differential properties (arena⇄cons
-round-trip, arena hash == ``stable_shape_hash`` on the cons form) are pinned
-by ``tests/property/test_arena_properties.py``.
+round-trip, arena hash == ``stable_shape_hash`` on the cons form, lazy ==
+eager encoding under any interleaving) are pinned by
+``tests/property/test_arena_properties.py``.
 """
 
 from __future__ import annotations
 
-from array import array
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.core.tree import Shape
 from repro.engine import _codec
 from repro.exceptions import WireFormatError
-from repro.io.serialization import SHAPE_BINARY_VERSION, write_uvarint
+from repro.io.serialization import (
+    SHAPE_BINARY_VERSION,
+    decode_shape_binary,
+    encode_shape_binary,
+    write_uvarint,
+)
 
 #: Index of a shape row in a :class:`ShapeArena`.
 RowId = int
 
-_NONE = -1
+
+def _check_preorder(child_counts: Iterable[int]) -> None:
+    """Reject a preorder child-count run that is not exactly one tree."""
+    open_slots = 1  # nodes still expected
+    for nchildren in child_counts:
+        if open_slots == 0:
+            raise WireFormatError("malformed shape preorder: multiple roots")
+        open_slots += nchildren - 1
+    if open_slots:
+        raise WireFormatError("malformed shape preorder: missing children")
 
 
 class ShapeArena:
-    """Flat storage and canonical identity for full-state shapes."""
+    """Canonical row identity for full-state shapes, encoded on first use."""
 
     def __init__(self) -> None:
         self._labels: list[str] = []
@@ -66,16 +78,16 @@ class ShapeArena:
         #: encoding is a pure concatenation of these plus child-count
         #: varints, so encoding a row never re-encodes label text).
         self._label_enc: list[bytes] = []
-        #: All rows' ``(label_id, first_child, next_sibling)`` triples,
-        #: concatenated; node index ``n`` lives at ``3*n``.
-        self._nodes = array("i")
-        self._roots: list[int] = []  # row -> root node index
-        self._counts: list[int] = []  # row -> node count
-        self._encoded: list[bytes] = []  # row -> canonical binary encoding
+        #: row -> canonical binary encoding, ``None`` until first asked for.
+        self._encoded: list[Optional[bytes]] = []
         self._hashes: list[Optional[int]] = []  # row -> CRC digest (lazy)
+        #: Encoded rows by their encoding.  Once ``_eager`` is set, every
+        #: row is in here.
         self._by_encoding: dict[bytes, RowId] = {}
-        #: row -> materialised cons tuple (droppable memo; see
+        self._eager = False
+        #: Shape tuple -> row and row -> shape tuple (droppable memos; see
         #: :meth:`drop_cons_cache`).
+        self._row_of: dict = {}
         self._cons_cache: dict[RowId, Shape] = {}
         self.rows_deduped = 0
 
@@ -105,64 +117,77 @@ class ShapeArena:
     # interning
     # ------------------------------------------------------------------ #
 
-    def intern_cons(self, shape: Shape) -> RowId:
-        """Intern a nested-tuple shape; returns its (deduplicated) row id."""
+    def _encode(self, shape: Shape) -> bytes:
+        """The canonical encoding of a nested-tuple shape."""
         encoded = bytearray([SHAPE_BINARY_VERSION])
-        pairs: list[tuple[int, int]] = []  # preorder (label_id, child count)
+        label_id = self.label_id
         label_enc = self._label_enc
         stack = [shape]
         pop = stack.pop
         while stack:
             label, children = pop()
-            lid = self.label_id(label)
+            encoded += label_enc[label_id(label)]
             nchildren = len(children)
-            pairs.append((lid, nchildren))
-            encoded += label_enc[lid]
             if nchildren < 0x80:
                 encoded.append(nchildren)
             else:
                 write_uvarint(encoded, nchildren)
             stack.extend(reversed(children))
-        row = self._by_encoding.get(bytes(encoded))
+        return bytes(encoded)
+
+    def _index_all(self) -> None:
+        """Encode and index every row still pending, then encode eagerly."""
+        if self._eager:
+            return
+        for row, encoded in enumerate(self._encoded):
+            if encoded is None:
+                self.encoded(row)
+        self._eager = True
+
+    def _append_row(self, encoded: Optional[bytes]) -> RowId:
+        row = len(self._encoded)
+        self._encoded.append(encoded)
+        self._hashes.append(None)
+        if encoded is not None:
+            self._by_encoding[encoded] = row
+        return row
+
+    def intern_cons(self, shape: Shape) -> RowId:
+        """Intern a nested-tuple shape; returns its (deduplicated) row id."""
+        row = self._row_of.get(shape)
         if row is not None:
-            self.rows_deduped += 1
             return row
-        row = self._append_row(bytes(encoded), pairs)
+        encoded = None
+        if self._eager:
+            encoded = self._encode(shape)
+            row = self._by_encoding.get(encoded)
+            if row is not None:
+                self.rows_deduped += 1
+                self._row_of[shape] = row
+                return row
+        row = self._append_row(encoded)
+        self._row_of[shape] = row
         self._cons_cache[row] = shape
         return row
 
     def intern_preorder(self, pairs: list[tuple[int, int]]) -> RowId:
         """Intern a shape given as preorder ``(label_id, child count)`` pairs
-        (label ids already arena-global) — the zero-copy wire decode entry.
-
-        The canonical encoding is assembled by concatenating the cached label
-        framings, so no tuple is ever built for an already-known row.
-        """
-        encoded = bytearray([SHAPE_BINARY_VERSION])
-        label_enc = self._label_enc
-        for lid, nchildren in pairs:
-            encoded += label_enc[lid]
-            if nchildren < 0x80:
-                encoded.append(nchildren)
-            else:
-                write_uvarint(encoded, nchildren)
-        row = self._by_encoding.get(bytes(encoded))
-        if row is not None:
-            self.rows_deduped += 1
-            return row
-        return self._append_row(bytes(encoded), pairs)
+        (label ids already arena-global); see :meth:`intern_preorder_flat`."""
+        flat = [value for pair in pairs for value in pair]
+        return self.intern_preorder_flat(flat, 0, len(pairs), range(len(self._labels)))
 
     def intern_preorder_flat(self, flat, base: int, count: int, label_map) -> RowId:
-        """:meth:`intern_preorder` over a slice of a flat pair-value run.
+        """Intern a shape given as a slice of a flat pair-value run — the
+        zero-copy wire decode entry.
 
         *flat* holds concatenated ``label index, child count`` values (the
         wire shape section's decoded run); the entry's *count* pairs start at
         ``flat[base]`` and *label_map* maps its label indices to arena label
-        ids.  The canonical encoding is assembled straight off the run, and
-        the pair tuples an unseen row needs are only materialised on a
-        genuine append — a dedup hit (the common case across a wave's
-        frames) costs the bytes assembly and one dict probe.
+        ids.  The canonical encoding is assembled straight off the run, so a
+        dedup hit (the common case across a wave's frames) costs the bytes
+        assembly and one dict probe.
         """
+        self._index_all()
         encoded = bytearray([SHAPE_BINARY_VERSION])
         label_enc = self._label_enc
         end = base + 2 * count
@@ -178,57 +203,16 @@ class ShapeArena:
         if row is not None:
             self.rows_deduped += 1
             return row
-        pairs = [(label_map[flat[i]], flat[i + 1]) for i in range(base, end, 2)]
-        return self._append_row(key, pairs)
-
-    def _append_row(self, encoded: bytes, pairs: list[tuple[int, int]]) -> RowId:
-        """Materialise the triples for a genuinely-new row."""
-        nodes = self._nodes
-        base = len(nodes) // 3
-        count = len(pairs)
-        nodes.extend([0] * (3 * count))
-        # Preorder walk: a stack of [parent node index, children still
-        # expected, last child linked].  The next pair is the first child of
-        # the top (if it still expects children) or, after closing finished
-        # nodes, the next sibling of the last child linked.
-        stack: list[list[int]] = []
-        for offset, (lid, nchildren) in enumerate(pairs):
-            index = base + offset
-            slot = 3 * index
-            nodes[slot] = lid
-            nodes[slot + 1] = _NONE
-            nodes[slot + 2] = _NONE
-            while stack and stack[-1][1] == 0:
-                stack.pop()
-            if stack:
-                frame = stack[-1]
-                if frame[2] == _NONE:
-                    nodes[3 * frame[0] + 1] = index
-                else:
-                    nodes[3 * frame[2] + 2] = index
-                frame[1] -= 1
-                frame[2] = index
-            elif offset != 0:
-                raise WireFormatError("malformed shape preorder: multiple roots")
-            if nchildren:
-                stack.append([index, nchildren, _NONE])
-        while stack and stack[-1][1] == 0:
-            stack.pop()
-        if stack:
-            raise WireFormatError("malformed shape preorder: missing children")
-        row = len(self._roots)
-        self._roots.append(base)
-        self._counts.append(count)
-        self._encoded.append(encoded)
-        self._hashes.append(None)
-        self._by_encoding[encoded] = row
-        return row
+        _check_preorder(flat[base + 1 : end : 2])
+        return self._append_row(key)
 
     def find_cons(self, shape: Shape) -> Optional[RowId]:
         """The row id of *shape* if already interned, else ``None`` (never
         creates a row)."""
-        from repro.io.serialization import encode_shape_binary
-
+        row = self._row_of.get(shape)
+        if row is not None:
+            return row
+        self._index_all()
         return self._by_encoding.get(encode_shape_binary(shape))
 
     # ------------------------------------------------------------------ #
@@ -238,55 +222,51 @@ class ShapeArena:
     def encoded(self, row: RowId) -> bytes:
         """The row's canonical binary encoding (identical to
         :func:`~repro.io.serialization.encode_shape_binary` on its cons
-        form)."""
-        return self._encoded[row]
+        form), computed on first use."""
+        encoded = self._encoded[row]
+        if encoded is None:
+            # only rows interned as tuples defer their encoding, and their
+            # tuple stays cached until _index_all has encoded them all
+            encoded = self._encode(self._cons_cache[row])
+            self._encoded[row] = encoded
+            self._by_encoding[encoded] = row
+        return encoded
 
     def stable_hash(self, row: RowId) -> int:
         """The row's :func:`~repro.io.serialization.stable_shape_hash`,
-        computed once over the cached encoding and memoized."""
+        computed once over the encoding and memoized."""
         digest = self._hashes[row]
         if digest is None:
-            digest = _codec.arena_hash(self._encoded[row])
+            digest = _codec.arena_hash(self.encoded(row))
             self._hashes[row] = digest
         return digest
 
     def node_count(self, row: RowId) -> int:
-        return self._counts[row]
+        count = 0
+        stack = [self.cons_of(row)]
+        while stack:
+            _label, children = stack.pop()
+            count += 1
+            stack.extend(children)
+        return count
 
-    def cons_of(self, row: RowId, cons=None) -> Shape:
-        """Materialise the row back into a nested-tuple shape (memoized).
-
-        Args:
-            cons: optional hash-consing function applied bottom-up to every
-                rebuilt subtree (the interner passes its ``cons``), so
-                materialised shapes share canonical subtree objects.
-        """
-        cached = self._cons_cache.get(row)
-        if cached is not None:
-            return cached
-        nodes = self._nodes
-        labels = self._labels
-
-        def build(index: int) -> Shape:
-            slot = 3 * index
-            children = []
-            child = nodes[slot + 1]
-            while child != _NONE:
-                children.append(build(child))
-                child = nodes[3 * child + 2]
-            shape: Shape = (labels[nodes[slot]], tuple(children))
-            return cons(shape) if cons is not None else shape
-
-        shape = build(self._roots[row])
-        self._cons_cache[row] = shape
+    def cons_of(self, row: RowId) -> Shape:
+        """Materialise the row back into a nested-tuple shape (memoized)."""
+        shape = self._cons_cache.get(row)
+        if shape is None:
+            shape = decode_shape_binary(self.encoded(row))
+            self._cons_cache[row] = shape
+            self._row_of[shape] = row
         return shape
 
     def drop_cons_cache(self) -> int:
-        """Drop the row→tuple materialisation memo (budget enforcement);
-        returns the number of entries dropped.  The triples and encodings
-        stay — any row can be re-materialised on demand."""
+        """Drop the tuple⇄row memos (budget enforcement); returns the number
+        of materialised tuples dropped.  Every row is encoded first, so any
+        row can be decoded again on demand."""
+        self._index_all()
         dropped = len(self._cons_cache)
         self._cons_cache.clear()
+        self._row_of.clear()
         return dropped
 
     # ------------------------------------------------------------------ #
@@ -294,18 +274,16 @@ class ShapeArena:
     # ------------------------------------------------------------------ #
 
     def __len__(self) -> int:
-        return len(self._roots)
+        return len(self._encoded)
 
     def nbytes(self) -> int:
-        """Approximate arena payload size: triples plus cached encodings."""
-        return self._nodes.itemsize * len(self._nodes) + sum(
-            len(enc) for enc in self._encoded
-        )
+        """Approximate arena payload size: the encodings built so far."""
+        return sum(len(encoded) for encoded in self._by_encoding)
 
     def stats(self) -> dict:
         return {
-            "arena_rows": len(self._roots),
-            "arena_nodes": len(self._nodes) // 3,
+            "arena_rows": len(self._encoded),
+            "arena_rows_encoded": len(self._by_encoding),
             "arena_labels": len(self._labels),
             "arena_nbytes": self.nbytes(),
             "arena_rows_deduped": self.rows_deduped,

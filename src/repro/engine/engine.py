@@ -19,7 +19,10 @@ decision procedure can share:
 * **canonical representatives** — each interned state keeps one
   representative instance; expansions are memoized against it, so re-visiting
   a state in a later exploration replays the cached successor list without
-  touching a single formula;
+  touching a single formula.  A state new to the interner records only its
+  parent and the update that reached it; its representative is derived when
+  first asked for, so states an exploration interns but never expands cost
+  one dict entry;
 
 * **pluggable frontiers** — exploration order is delegated to
   :mod:`repro.engine.strategies` (BFS / DFS / completion-guided best-first).
@@ -442,6 +445,9 @@ class ExplorationEngine:
         #: StateId -> resident representative Instance, in recency-of-access
         #: order (front = coldest; eviction pops from the front).
         self._reps: OrderedDict = OrderedDict()
+        #: StateId -> (parent StateId, Update) for states whose representative
+        #: has not been derived yet (see :meth:`representative`).
+        self._pending_reps: dict = {}
         self._shape_maps: dict = {}  # StateId -> {node_id: consed subtree Shape}
         self._expansions: dict = {}  # StateId -> (candidates, guard queries)
         self._d1_expansions: dict = {}  # frozenset -> (moves, guard queries)
@@ -511,13 +517,26 @@ class ExplorationEngine:
     def representative(self, state_id: StateId) -> Instance:
         """The canonical representative instance of a state (shared).
 
-        Served from the resident dict (refreshing its recency); on a
-        store-backed engine, states not resident (hydrated lazily after a
-        resume, or evicted) are decoded from the store with their original
-        node ids.
+        Served from the resident dict (refreshing its recency).  A state
+        whose representative is still pending is derived from its parent's
+        with :meth:`IncrementalShaper.successor`, which is deterministic, so
+        node ids do not depend on when it is asked for.  On a store-backed
+        engine, states not resident (hydrated lazily after a resume, or
+        evicted) are decoded from the store with their original node ids.
         """
         rep = self._reps.get(state_id)
-        if rep is None:
+        if rep is not None:
+            self._reps.move_to_end(state_id)
+            return rep
+        pending = self._pending_reps.pop(state_id, None)
+        if pending is not None:
+            # the parent is resident: it was expanded, and only a persistent
+            # engine evicts, which derives every representative at discovery
+            parent_id, update = pending
+            rep, self._shape_maps[state_id], _root = self.shaper.successor(
+                self._reps[parent_id], self._shape_maps[parent_id], update
+            )
+        else:
             blob = self.store.get_representative(state_id)
             if blob is None:
                 raise AnalysisError(
@@ -525,9 +544,7 @@ class ExplorationEngine:
                     "registered by this engine and absent from its store)"
                 )
             rep = decode_instance_with_ids(blob, self.guarded_form.schema)
-            self._reps[state_id] = rep
-        else:
-            self._reps.move_to_end(state_id)
+        self._reps[state_id] = rep
         return rep
 
     def evict_representatives(self, keep: int = 0) -> int:
@@ -614,7 +631,8 @@ class ExplorationEngine:
         for states reloaded from the store)."""
         shape_map = self._shape_maps.get(state_id)
         if shape_map is None:
-            shape_map = self.shaper.full_map(self.representative(state_id))
+            rep = self.representative(state_id)  # a pending state brings its map
+            shape_map = self._shape_maps.get(state_id) or self.shaper.full_map(rep)
             self._shape_maps[state_id] = shape_map
         return shape_map
 
@@ -863,7 +881,7 @@ class ExplorationEngine:
         def candidate(update: Update, is_addition: bool, succ_size: int, copies: int) -> tuple:
             return (
                 update,
-                self._successor_id(instance, shape_map, update),
+                self._successor_id(state_id, instance, shape_map, update),
                 is_addition,
                 succ_size,
                 copies,
@@ -876,22 +894,22 @@ class ExplorationEngine:
         self.expansions_computed += 1
         return candidates
 
-    def _successor_id(self, instance: Instance, shape_map: dict, update: Update) -> StateId:
-        # Most candidates land on an already-interned state, so derive the
-        # root shape alone first (no instance copy, no successor shape map —
-        # profiles showed ~19 full materialisations per genuinely new state)
-        # and only materialise the representative when the id is fresh.  The
-        # shaper pins successor_shape == successor()[2], and the store write
-        # order (shape row, then representative) is unchanged, so ids and
-        # rows stay bit-identical to the always-materialise path.
+    def _successor_id(
+        self, parent_id: StateId, instance: Instance, shape_map: dict, update: Update
+    ) -> StateId:
+        # Derive the root shape alone (no instance copy, no successor shape
+        # map); a fresh state only records how to derive its representative,
+        # since most are never expanded.  A persistent store needs the
+        # representative row at discovery (a killed run resumes from it), so
+        # there the derivation happens straight away, after the shape row.
         root_shape = self.shaper.successor_shape(instance, shape_map, update)
         state_id, is_new = self.interner.state_id(root_shape)
         if is_new:
-            successor, succ_map, _root = self.shaper.successor(instance, shape_map, update)
-            self._reps[state_id] = successor
-            self._shape_maps[state_id] = succ_map
+            self._pending_reps[state_id] = (parent_id, update)
             if self.store.persistent:
-                self.store.put_representative(state_id, encode_instance_with_ids(successor))
+                self.store.put_representative(
+                    state_id, encode_instance_with_ids(self.representative(state_id))
+                )
         return state_id
 
     def complete_ids(self, graph: EngineGraph) -> set:
@@ -1098,7 +1116,8 @@ class ExplorationEngine:
         snapshot["expansions_computed"] = self.expansions_computed
         snapshot["expansions_reused"] = self.expansions_reused
         snapshot["heuristic_evaluations"] = self.heuristic_evaluations
-        snapshot["registered_states"] = len(self._reps)
+        snapshot["registered_states"] = len(self._reps) + len(self._pending_reps)
+        snapshot["reps_pending"] = len(self._pending_reps)
         snapshot["frontier_strategy"] = self.strategy
         snapshot["explorations_resumed"] = self.explorations_resumed
         # residency: how much of the working set is actually in memory, and

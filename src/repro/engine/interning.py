@@ -73,13 +73,11 @@ class ShapeInterner:
 
     def __init__(self, store=None) -> None:
         self._cons: dict = {}  # Shape -> canonical Shape object
-        #: Flat storage of every full-state shape this interner has seen;
-        #: rows carry the cached canonical encoding and CRC digest, so the
-        #: id tier below works on small ints instead of nested tuples.
+        #: Row identity of every full-state shape this interner has seen;
+        #: rows carry the canonical encoding and CRC digest (built on first
+        #: use), so the id tier below works on small ints instead of nested
+        #: tuples.
         self.arena = ShapeArena()
-        #: Shape tuple -> arena row (a pure memo over ``arena.intern_cons``;
-        #: clearable, rebuilt on demand).
-        self._row_of: dict = {}
         self._ids: dict = {}  # arena row -> StateId (resident tier)
         #: StateId -> arena row, maintained in recency-of-access order
         #: (front = coldest) so budget eviction can drop the least recently
@@ -188,11 +186,7 @@ class ShapeInterner:
         absent from both tiers gets a fresh id, so ids are bit-identical
         whether or not rows were hydrated or evicted in between.
         """
-        row = self._row_of.get(shape)
-        if row is None:
-            row = self.arena.intern_cons(shape)
-            self._row_of[shape] = row
-        return self.state_id_row(row)
+        return self.state_id_row(self.arena.intern_cons(shape))
 
     def state_id_row(self, row: RowId) -> tuple[StateId, bool]:
         """Intern a full-state shape given as an arena row; return
@@ -253,11 +247,7 @@ class ShapeInterner:
     def _make_resident(self, state_id: StateId, shape: Shape) -> Shape:
         """Register a store row on the resident tier (shared restore path)."""
         canonical = self.cons_tree(shape)
-        row = self._row_of.get(canonical)
-        if row is None:
-            row = self.arena.intern_cons(canonical)
-            self._row_of[canonical] = row
-        self._make_resident_row(state_id, row)
+        self._make_resident_row(state_id, self.arena.intern_cons(canonical))
         return canonical
 
     def _make_resident_row(self, state_id: StateId, row: RowId) -> None:
@@ -321,8 +311,8 @@ class ShapeInterner:
 
         Dropped entries cost nothing but sharing: a re-consed subtree is a
         fresh-but-equal tuple, every consumer compares shapes structurally,
-        and the arena's flat rows — the ground truth for ids, digests and
-        encodings — are untouched.  Returns the number of cons entries
+        and the arena's row encodings — the ground truth for ids, digests
+        and shapes — are untouched.  Returns the number of cons entries
         dropped.
         """
         before = len(self._cons)
@@ -331,7 +321,6 @@ class ShapeInterner:
             fresh[shape] = shape
         self._cons = fresh
         self._cons_floor = len(fresh)
-        self._row_of.clear()
         self.arena.drop_cons_cache()
         dropped = max(0, before - len(fresh))
         self.cons_pruned += dropped
@@ -489,10 +478,11 @@ class IncrementalShaper:
 
         Equivalent to ``successor(...)[2]`` — the same consed shapes, built
         by the same root-to-update-path rebuild — but skipping the deep copy
-        of the instance and the successor shape map.  The frontier workers
-        use it: since PR 4 they ship shape-table references instead of
-        successor representatives, so the copy :meth:`successor` performs
-        would be thrown away per candidate.
+        of the instance and the successor shape map.  Both the serial engine
+        (every candidate, before it knows whether the successor is new) and
+        the frontier workers (which ship shape-table references, never
+        successor instances) use it; :meth:`successor` runs only when a
+        successor's representative is actually needed.
         """
         cons = self._interner.cons
         if isinstance(update, Addition):

@@ -330,8 +330,9 @@ class ParallelExplorationEngine(ExplorationEngine):
         id assignment (including ids for candidates a limit later filters
         out) bit-identical to a serial run.  A successor new to the interner
         gets its canonical representative derived from the parent
-        representative exactly as :meth:`ExplorationEngine._successor_id`
-        derives it; known successors cost a shape-table lookup only.
+        representative straight away, exactly as
+        :meth:`ExplorationEngine.representative` derives a pending one; known
+        successors cost a shape-table lookup only.
         """
         interner = self.interner
         rows = frame.shape_rows(interner.arena)

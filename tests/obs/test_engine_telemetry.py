@@ -67,6 +67,8 @@ GOLDEN_ENGINE_KEYS = {
     # hydration / eviction / residency
     "hydration_rows_skipped": int,
     "reps_resident": int,
+    "reps_pending": int,
+    "registered_states": int,
     "reps_evicted": int,
     "states_resident": int,
     "resident_budget": (int, type(None)),

@@ -13,7 +13,10 @@ Three contracts pinned over arbitrary shapes, varint runs and wire frames:
   positions, truncation and overflow rejections alike), on the CRC digest,
   and on whole-frame decodes, byte for byte;
 * **rejection** — malformed preorder streams (multiple roots, missing
-  children) never build a row silently.
+  children) never build a row silently;
+* **deferred encoding** — rows interned as tuples are encoded on first use,
+  yet any interleaving of interning, encoding, hashing and memo drops gives
+  the row ids, encodings and digests of an arena that encodes eagerly.
 
 The dedicated CI job runs this module with ``--hypothesis-profile=ci``; a
 separate matrix leg re-runs the whole tier-1 suite under ``REPRO_PURE=1``
@@ -121,7 +124,7 @@ class TestArenaRoundTrip:
         row = arena.intern_cons(shape)
         assert bytes(arena.encoded(row)) == encode_shape_binary(shape)
         assert arena.stable_hash(row) == stable_shape_hash(shape)
-        # cons_of survives a dropped cons cache (rebuilds from the triples)
+        # cons_of survives a dropped cons cache (decodes the encoding)
         arena.drop_cons_cache()
         assert arena.cons_of(row) == shape
 
@@ -152,6 +155,53 @@ class TestArenaRoundTrip:
         pairs[-1] = (label, count + 1)  # promises a child that never arrives
         with pytest.raises(WireFormatError):
             arena.intern_preorder(pairs)
+
+
+#: One step of an arena workload: an operation and the index of the shape
+#: (or row) it applies to, taken modulo what exists when it runs.
+arena_ops = st.tuples(
+    st.sampled_from(
+        ["intern_cons", "intern_preorder", "find_cons", "encoded", "stable_hash", "drop", "cons_of"]
+    ),
+    st.integers(min_value=0, max_value=63),
+)
+
+
+class TestDeferredEncoding:
+    @given(st.lists(shapes, min_size=1, max_size=6), st.lists(arena_ops, max_size=40))
+    def test_interleavings_match_an_eager_reference(self, pool, ops):
+        arena = ShapeArena()
+        reference: dict = {}  # shape -> row, in first-interned order
+        rows: list = []  # row -> shape
+        for op, index in ops:
+            shape = pool[index % len(pool)]
+            if op in ("intern_cons", "intern_preorder"):
+                if op == "intern_cons":
+                    row = arena.intern_cons(shape)
+                else:
+                    row = arena.intern_preorder(preorder_pairs(arena, shape))
+                expected = reference.setdefault(shape, len(rows))
+                if expected == len(rows):
+                    rows.append(shape)
+                assert row == expected
+            elif op == "find_cons":
+                assert arena.find_cons(shape) == reference.get(shape)
+            elif op == "drop":
+                arena.drop_cons_cache()
+            elif rows:
+                row = index % len(rows)
+                if op == "encoded":
+                    assert arena.encoded(row) == encode_shape_binary(rows[row])
+                elif op == "stable_hash":
+                    assert arena.stable_hash(row) == stable_shape_hash(rows[row])
+                else:
+                    assert arena.cons_of(row) == rows[row]
+        assert len(arena) == len(rows)
+        for row, shape in enumerate(rows):
+            assert arena.encoded(row) == encode_shape_binary(shape)
+            assert arena.stable_hash(row) == stable_shape_hash(shape)
+            assert arena.cons_of(row) == shape
+            assert arena.intern_cons(shape) == row
 
 
 class TestCodecParity:
