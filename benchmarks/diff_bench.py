@@ -33,15 +33,11 @@ _COLUMNS = (
     ("hydration_fraction_restored", "hydrated", True),
     ("states_resident", "resident shapes", False),
     ("reps_resident", "resident reps", False),
-    # hot-path fields (PR 6): wire decode wall time, warm-attach guard cache,
-    # and the codec micro-benchmarks; older reports render them as —
+    # hot-path fields (PR 6): wire decode wall time and warm-attach guard
+    # cache; older reports render them as —
     ("wire_decode_seconds", "wire decode s", False),
     ("guard_cache_hit_rate", "guard hits", True),
     ("cold_states_per_second", "cold states/s", False),
-    ("varint_decode_mb_per_s_pure", "varint MB/s (pure)", False),
-    ("varint_decode_mb_per_s_accel", "varint MB/s (C)", False),
-    ("frame_decode_mb_per_s_pure", "frame MB/s (pure)", False),
-    ("frame_decode_mb_per_s_accel", "frame MB/s (C)", False),
     ("peak_rss_kb", "peak RSS KB", False),
     # campaign-corpus fields (PR 7): sizes of the campaign-mined workloads;
     # also populated for the classic engine workloads where recorded
@@ -102,8 +98,6 @@ def diff_reports(baseline: dict, fresh: dict) -> str:
             "serial_parallel_parity",
             "attach_budget_parity",
             "attach_parallel_parity",
-            "attach_pure_parity",
-            "pure_parallel_parity",
             "telemetry_parity",
             "traced_parallel_parity",
             "trace_has_worker_spans",

@@ -107,16 +107,6 @@ def _engine_workloads():
 #: --check gate fails any parallel workload that misses it.
 WIRE_REDUCTION_FLOOR = 0.40
 
-#: One-time floors for the hot-path rework (arena shapes + zero-copy decode +
-#: accelerated codec), applied only when the baseline row predates it — i.e.
-#: lacks the ``codec_accelerated`` field.  Against such a baseline, a
-#: parallel workload's ``wire_decode_seconds`` must be at least 40% lower and
-#: the bounded attach's states/sec at least 2x higher; once a post-rework
-#: baseline is committed, the ordinary ``--threshold`` drift checks take
-#: over.
-WIRE_DECODE_REDUCTION_FLOOR = 0.40
-ATTACH_SPEEDUP_FLOOR = 2.0
-
 #: Ceiling on the fraction of a prebuilt store's shape table a
 #: budget-bounded attach may hydrate; the --check gate fails the attach
 #: workload when lazy hydration restores more than this.
@@ -347,8 +337,6 @@ def measure_residency_attach(frontier: str, attach_states: int, budget: int) -> 
             for source, edges in graph.transitions.items()
         }
 
-    from repro.engine import _codec
-
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "attach.db"
         build_store = SqliteStore(
@@ -398,23 +386,6 @@ def measure_residency_attach(frontier: str, attach_states: int, budget: int) -> 
             and exact_edges(graph) == exact_edges(reference)
         )
 
-        # the same bounded attach through the pure-Python codec: the two
-        # dispatch paths must produce the same graph, bit for bit
-        pure_store = attach_store()
-        pure_engine = ExplorationEngine(
-            form, limits=touch_limits, store=pure_store, resident_budget=budget
-        )
-        was_pure = _codec.set_pure(True)
-        try:
-            pure_graph = pure_engine.explore()
-        finally:
-            _codec.set_pure(was_pure)
-        pure_store.close()
-        pure_parity = (
-            pure_graph.states == reference.states
-            and exact_edges(pure_graph) == exact_edges(reference)
-        )
-
         # bounded attach with worker processes (shard hydration path)
         par_store = attach_store()
         par_engine = ParallelExplorationEngine(
@@ -441,7 +412,6 @@ def measure_residency_attach(frontier: str, attach_states: int, budget: int) -> 
         ),
         "kind": "bounded-attach",
         "frontier": frontier,
-        "codec_accelerated": _codec.ACCELERATED and not _codec.is_pure(),
         "resident_budget": budget,
         "build_states": len(build_graph.states),
         "build_seconds": round(build_elapsed, 6),
@@ -454,7 +424,6 @@ def measure_residency_attach(frontier: str, attach_states: int, budget: int) -> 
         ),
         "attach_budget_parity": budget_parity,
         "attach_parallel_parity": parallel_parity,
-        "attach_pure_parity": pure_parity,
         "states_resident": stats["states_resident"],
         "reps_resident": stats["reps_resident"],
         "reps_evicted": stats["reps_evicted"],
@@ -482,7 +451,7 @@ def measure_parallel(frontier: str, worker_counts: list[int]) -> list[dict]:
     """
     from repro.analysis.results import ExplorationLimits
     from repro.benchgen.families import positive_deep_family
-    from repro.engine import ExplorationEngine, ParallelExplorationEngine, _codec
+    from repro.engine import ExplorationEngine, ParallelExplorationEngine
     from repro.engine.wire import pr3_encoding_cost
 
     form = positive_deep_family(4, width=2)
@@ -533,32 +502,6 @@ def measure_parallel(frontier: str, worker_counts: list[int]) -> list[dict]:
             graph.states == reference.states
             and exact_edges(graph) == exact_edges(reference)
         )
-        pure_parity = None
-        if index == 0:
-            # re-run the first worker count through the pure-Python codec:
-            # set_pure covers the coordinator, REPRO_PURE in the environment
-            # covers the freshly spawned worker processes.  The graph must
-            # be bit-identical to the accelerated serial reference.
-            pure_engine = ParallelExplorationEngine(
-                form, limits=limits, strategy=frontier, workers=workers
-            )
-            was_pure = _codec.set_pure(True)
-            had_env = os.environ.get("REPRO_PURE")
-            os.environ["REPRO_PURE"] = "1"
-            try:
-                pure_engine.spawn_workers()
-                pure_graph = pure_engine.explore()
-            finally:
-                pure_engine.shutdown_workers()
-                _codec.set_pure(was_pure)
-                if had_env is None:
-                    del os.environ["REPRO_PURE"]
-                else:
-                    os.environ["REPRO_PURE"] = had_env
-            pure_parity = (
-                pure_graph.states == reference.states
-                and exact_edges(pure_graph) == exact_edges(reference)
-            )
         states = len(graph.states)
         parallel_sps = round(states / elapsed, 1) if elapsed else None
         rows.append(
@@ -568,7 +511,6 @@ def measure_parallel(frontier: str, worker_counts: list[int]) -> list[dict]:
                 "frontier": frontier,
                 "workers": workers,
                 "cpu_count": os.cpu_count(),
-                "codec_accelerated": _codec.ACCELERATED and not _codec.is_pure(),
                 "states": states,
                 "explore_seconds": round(elapsed, 6),
                 "serial_explore_seconds": round(serial_elapsed, 6),
@@ -581,7 +523,6 @@ def measure_parallel(frontier: str, worker_counts: list[int]) -> list[dict]:
                     round(serial_elapsed / elapsed, 3) if elapsed else None
                 ),
                 "serial_parallel_parity": parity,
-                "pure_parallel_parity": pure_parity,
                 "guard_cache_hit_rate": stats["guard_cache_hit_rate"],
                 "states_prefetched": stats["states_prefetched"],
                 "waves_dispatched": stats["waves_dispatched"],
@@ -742,11 +683,6 @@ def measure_engine(
     results.append(measure_telemetry(frontier, trace_path=trace_path))
     results.append(measure_service(frontier))
     results.append(measure_cache(frontier))
-    if str(BENCH_DIR) not in sys.path:
-        sys.path.insert(0, str(BENCH_DIR))
-    from micro_codec import measure_micro_codec
-
-    results.append(measure_micro_codec())
     results.extend(measure_campaign_corpus(frontier))
     return {
         "limits": {"max_states": limits.max_states, "max_instance_nodes": limits.max_instance_nodes},
@@ -1026,14 +962,10 @@ def check_regressions(report: dict, baseline: dict, threshold: float) -> list[st
     than *threshold* in states/sec, needing more formula evaluations than the
     baseline allows (a deterministic counter, immune to timer noise), losing
     state-set parity with the legacy explorers, breaking serial-vs-parallel
-    bit-identity, breaking accelerated-vs-pure codec bit-identity, shipping
-    more wire bytes per candidate than the PR 3 encoding minus the
-    :data:`WIRE_REDUCTION_FLOOR`, growing its wire bytes per candidate or
-    wire decode time beyond *threshold* vs the baseline, missing the one-time
-    hot-path floors (:data:`WIRE_DECODE_REDUCTION_FLOOR`,
-    :data:`ATTACH_SPEEDUP_FLOOR`) against a pre-rework baseline — one whose
-    row lacks ``codec_accelerated`` — or disappearing from the report
-    entirely.  Parallel workloads are keyed by worker count, so a
+    bit-identity, shipping more wire bytes per candidate than the PR 3
+    encoding minus the :data:`WIRE_REDUCTION_FLOOR`, growing its wire bytes
+    per candidate or wire decode time beyond *threshold* vs the baseline, or
+    disappearing from the report entirely.  Parallel workloads are keyed by worker count, so a
     run measured with different ``--workers`` counts than the baseline simply
     skips the missing rows (their speedups are host-dependent; the parity
     verdict is what gates).
@@ -1066,16 +998,6 @@ def check_regressions(report: dict, baseline: dict, threshold: float) -> list[st
         if not fresh.get("attach_parallel_parity", True):
             failures.append(
                 f"workload {name!r} broke budget-bounded parallel bit-identity"
-            )
-        # pure-codec parity is gated unconditionally wherever measured
-        # (``is False`` — rows that did not run the pure leg record None)
-        if fresh.get("pure_parallel_parity") is False:
-            failures.append(
-                f"workload {name!r} broke accelerated-vs-pure parallel bit-identity"
-            )
-        if fresh.get("attach_pure_parity") is False:
-            failures.append(
-                f"workload {name!r} broke accelerated-vs-pure attach bit-identity"
             )
         # telemetry must be free when disabled, honest when enabled: the
         # traced runs gate on bit-identity, the overhead fraction on the
@@ -1160,14 +1082,12 @@ def check_regressions(report: dict, baseline: dict, threshold: float) -> list[st
             if workload.get("kind") not in (
                 "bounded-parallel",
                 "bounded-attach",
-                "micro-codec",
                 # corpus rows come and go with promotions; the committed
                 # manifest (not the bench baseline) is their source of truth
                 "campaign-corpus",
             ):
                 failures.append(f"workload {name!r} present in baseline but not measured")
             continue
-        pre_rework_baseline = "codec_accelerated" not in workload
         old_sps = workload.get("states_per_second")
         new_sps = fresh.get("states_per_second")
         if fresh.get("kind") == "campaign-corpus":
@@ -1181,38 +1101,14 @@ def check_regressions(report: dict, baseline: dict, threshold: float) -> list[st
                 f"workload {name!r} regressed: {new_sps} states/s vs baseline "
                 f"{old_sps} (allowed floor {old_sps * (1.0 - threshold):.1f})"
             )
-        if (
-            pre_rework_baseline
-            and workload.get("kind") == "bounded-attach"
-            and old_sps
-            and new_sps
-            and new_sps < old_sps * ATTACH_SPEEDUP_FLOOR
-        ):
-            failures.append(
-                f"workload {name!r} reached only {new_sps} states/s vs the "
-                f"pre-rework baseline {old_sps}; the hot-path rework requires "
-                f">={ATTACH_SPEEDUP_FLOOR:.0f}x "
-                f"(floor {old_sps * ATTACH_SPEEDUP_FLOOR:.1f})"
-            )
         old_decode = workload.get("wire_decode_seconds")
         new_decode = fresh.get("wire_decode_seconds")
-        if old_decode and new_decode:
-            if pre_rework_baseline:
-                ceiling = (1.0 - WIRE_DECODE_REDUCTION_FLOOR) * old_decode
-                if new_decode > ceiling:
-                    failures.append(
-                        f"workload {name!r} spent {new_decode}s decoding wire "
-                        f"frames vs the pre-rework baseline {old_decode}s; the "
-                        f"hot-path rework requires a "
-                        f">={WIRE_DECODE_REDUCTION_FLOOR:.0%} reduction "
-                        f"(ceiling {ceiling:.3f}s)"
-                    )
-            elif new_decode > old_decode * (1.0 + threshold):
-                failures.append(
-                    f"workload {name!r} now spends {new_decode}s decoding wire "
-                    f"frames vs baseline {old_decode}s (allowed ceiling "
-                    f"{old_decode * (1.0 + threshold):.3f}s)"
-                )
+        if old_decode and new_decode and new_decode > old_decode * (1.0 + threshold):
+            failures.append(
+                f"workload {name!r} now spends {new_decode}s decoding wire "
+                f"frames vs baseline {old_decode}s (allowed ceiling "
+                f"{old_decode * (1.0 + threshold):.3f}s)"
+            )
         old_evals = workload.get("formula_evaluations")
         new_evals = fresh.get("formula_evaluations")
         if old_evals and new_evals and new_evals > old_evals * (1.0 + threshold):
@@ -1365,13 +1261,6 @@ def main(argv=None) -> int:
         "(default: 0.25, i.e. >25%% slower fails)",
     )
     parser.add_argument(
-        "--require-accel",
-        action="store_true",
-        help="fail unless the C-accelerated codec compiled and loaded (CI "
-        "uses this on the bench smoke so the accelerator can never silently "
-        "fall back to pure Python there)",
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
         help="profile the engine-metrics run under cProfile: write "
@@ -1412,17 +1301,6 @@ def main(argv=None) -> int:
     if any(count < 2 for count in worker_counts):
         print("[run_all] --workers counts must be >= 2", file=sys.stderr)
         return 2
-
-    if args.require_accel:
-        from repro.engine import _codec
-
-        if not _codec.ACCELERATED:
-            print(
-                "[run_all] --require-accel: the C codec did not compile/load; "
-                "running on the pure-Python fallback",
-                file=sys.stderr,
-            )
-            return 1
 
     from repro.obs import maybe_profiled
 
@@ -1540,19 +1418,6 @@ def main(argv=None) -> int:
                     speedup=workload["cache_warm_speedup"],
                     hits=workload["cache_result_hits"],
                     identical=workload["cache_payload_identical"],
-                )
-            )
-            continue
-        if workload.get("kind") == "micro-codec":
-            print(
-                "[run_all]   {workload}: accelerated={accel}; varint decode "
-                "{vp}/{va} MB/s (pure/accel), frame decode {fp}/{fa} MB/s".format(
-                    workload=workload["workload"],
-                    accel=workload["codec_accelerated"],
-                    vp=workload["varint_decode_mb_per_s_pure"],
-                    va=workload.get("varint_decode_mb_per_s_accel", "-"),
-                    fp=workload["frame_decode_mb_per_s_pure"],
-                    fa=workload.get("frame_decode_mb_per_s_accel", "-"),
                 )
             )
             continue

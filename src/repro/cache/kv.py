@@ -1,8 +1,8 @@
 """The KV-cache protocol: namespaced byte pairs with TTL and counters.
 
-A :class:`KVCache` is the one interface behind every cache the system keeps
-outside a single engine's process: shared guard evaluations, interned-shape
-read-through rows, and memoized analysis results.  The shape of the protocol
+A :class:`KVCache` is the one interface behind the cache the system keeps
+outside a single engine's process: it holds memoized analysis results (the
+``results`` namespace) and nothing else.  The shape of the protocol
 is deliberately redis-like — ``get``/``put``/``mget``/``mput``/``delete``/
 ``scan`` over byte keys and byte values, partitioned by a short string
 *namespace*, with an optional per-entry TTL — so a real network backend can
@@ -30,8 +30,9 @@ from __future__ import annotations
 import time
 from typing import Iterable, Iterator, Optional
 
-#: The namespaces the system writes today.  Free-form strings are accepted —
-#: this tuple exists so reporting surfaces can render stable zero rows.
+#: The namespaces reporting surfaces render as stable zero rows.  Only
+#: ``results`` is written; ``guards`` and ``shapes`` stay listed (always zero)
+#: so reports keep their schema.  Free-form strings are accepted.
 KNOWN_NAMESPACES = ("guards", "shapes", "results")
 
 _COUNTER_KEYS = ("hits", "misses", "puts", "deletes", "evictions", "expirations")
@@ -50,9 +51,9 @@ class KVCache:
     #: Short backend name used in stats payloads.
     backend = "kv"
 
-    #: How to reopen this cache elsewhere (another process, a worker): the
-    #: spec string understood by :func:`repro.cache.open_kv`, or ``None``
-    #: for process-local backends that cannot be shared by spec.
+    #: How to reopen this cache elsewhere (another process): the spec string
+    #: understood by :func:`repro.cache.open_kv`, or ``None`` for
+    #: process-local backends that cannot be shared by spec.
     spec: Optional[str] = None
 
     def __init__(self, clock=time.time) -> None:

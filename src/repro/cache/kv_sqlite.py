@@ -2,8 +2,8 @@
 
 Reuses the engine's :class:`~repro.engine.sqlite_base.SqliteBacked` plumbing
 (standard pragmas, ``meta`` identity table) and its write discipline: puts
-buffer in memory and commit in batches, so the exploration hot path never
-pays a per-row transaction.  Reads check the buffer first, so a writer sees
+buffer in memory and commit in batches, so no caller pays a per-row
+transaction.  Reads check the buffer first, so a writer sees
 its own unflushed entries; other processes see entries at batch boundaries —
 the same visibility contract as the state store's WAL sync.
 """

@@ -3,10 +3,9 @@
 Mirrors the telemetry runtime (:mod:`repro.obs.tracing`): callers that were
 handed an explicit cache use it; everything else asks :func:`default_cache`,
 which resolves the innermost :func:`use_cache` context, then the
-``REPRO_CACHE`` environment variable (memoized per process so every layer
-shares one backend instance), then "no cache" (``None``).  Worker processes
-inherit ``REPRO_CACHE`` through the environment for free; caches opened
-from a ``--cache`` flag travel to workers as their ``spec`` string.
+``REPRO_CACHE`` environment variable (memoized per process so every caller
+shares one backend instance), then "no cache" (``None``).  Only the
+coordinating process reads or writes it: frontier workers never open a KV.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from contextlib import contextmanager
 from typing import Optional
 
 from repro.cache.kv import KVCache
-from repro.cache.kv_dir import DirKV
 from repro.cache.kv_memory import MemoryKV
 from repro.cache.kv_sqlite import SqliteKV
 from repro.exceptions import StoreError
@@ -28,7 +26,6 @@ def open_kv(spec: str, clock=time.time) -> KVCache:
 
     * ``memory`` — a process-local bounded LRU (:class:`MemoryKV`).
     * ``sqlite://PATH`` — a shared sqlite database (:class:`SqliteKV`).
-    * ``dir://PATH`` — a one-file-per-key directory (:class:`DirKV`).
     * a bare path ending in ``.db``/``.sqlite`` — :class:`SqliteKV` on it.
     * any other bare path — a cache *directory*: :class:`SqliteKV` on
       ``PATH/cache.db`` (created on demand), the recommended default for
@@ -41,13 +38,11 @@ def open_kv(spec: str, clock=time.time) -> KVCache:
         return MemoryKV(clock=clock)
     if spec.startswith("sqlite://"):
         return SqliteKV(spec[len("sqlite://") :], clock=clock)
-    if spec.startswith("dir://"):
-        return DirKV(spec[len("dir://") :], clock=clock)
     if "://" in spec:
         scheme = spec.split("://", 1)[0]
         raise StoreError(
             f"unknown cache backend {scheme!r} in {spec!r} "
-            "(expected memory, sqlite://PATH, dir://PATH, or a path)"
+            "(expected memory, sqlite://PATH, or a path)"
         )
     if spec.endswith((".db", ".sqlite")):
         return SqliteKV(spec, clock=clock)
@@ -59,20 +54,20 @@ def open_kv(spec: str, clock=time.time) -> KVCache:
 _default_stack: list[KVCache] = []
 
 #: Memoized ``REPRO_CACHE`` backend, keyed by the env value it was opened
-#: for — a process-wide singleton so the guard, shape and result layers all
-#: share one connection and one counter set.
+#: for — a process-wide singleton so every caller shares one connection and
+#: one counter set.
 _env_cache: Optional[KVCache] = None
-_env_cache_spec: Optional[str] = None
+_env_spec: Optional[str] = None
 
 
 def _cache_from_env() -> Optional[KVCache]:
-    global _env_cache, _env_cache_spec
+    global _env_cache, _env_spec
     spec = os.environ.get("REPRO_CACHE")
     if not spec:
         return None
-    if _env_cache is None or _env_cache_spec != spec:
+    if _env_cache is None or _env_spec != spec:
         _env_cache = open_kv(spec)
-        _env_cache_spec = spec
+        _env_spec = spec
     return _env_cache
 
 
@@ -86,16 +81,12 @@ def default_cache() -> Optional[KVCache]:
 def reset_cache_runtime() -> None:
     """Forget all ambient cache state (context stack + memoized env backend).
 
-    Called at the top of forked worker processes: a fork inherits the
-    parent's stack and memoized ``REPRO_CACHE`` backend, and an sqlite
-    connection must never be driven from two processes — the child drops
-    the inherited objects unused and re-opens its own from the spec/env.
-    (Also the test suite's isolation hook.)
+    The test suite's isolation hook.
     """
-    global _env_cache, _env_cache_spec
+    global _env_cache, _env_spec
     _default_stack.clear()
     _env_cache = None
-    _env_cache_spec = None
+    _env_spec = None
 
 
 @contextmanager

@@ -3,7 +3,7 @@
 A *campaign* fans thousands of deterministically generated guarded forms
 (:mod:`repro.campaign.generator`) through a stack of differential oracles
 (:mod:`repro.campaign.oracles`) — serial vs parallel, cold vs resumed,
-unbudgeted vs budgeted, pure vs accelerated codec, engine vs legacy — and
+unbudgeted vs budgeted, cached vs uncached, engine vs legacy — and
 persists one outcome/perf row per form into an sqlite store
 (:mod:`repro.campaign.store`).  Triage (:mod:`repro.campaign.triage`) turns
 the store into distributions, flags outliers, surfaces disagreements as

@@ -18,12 +18,9 @@ campaign rather than by a hand-written regression test:
     for a fresh process), and must converge to the uninterrupted graph;
 ``budget``
     ``resident_budget``-bounded store-backed run vs the unbounded reference;
-``codec``
-    the pure-Python codec vs the C-accelerated one (trivially agreeing, with
-    a note, when the accelerator is unavailable);
 ``cache``
-    cold and warm runs against one shared KV cache (:mod:`repro.cache`) vs
-    the uncached reference — the cache must be a pure observer.
+    cold and warm wire answers through one result cache (:mod:`repro.cache`)
+    vs the uncached answer — the cache must be a pure observer.
 
 Oracles receive a shared :class:`ExecutionContext` so the serial reference
 (and the depth-1 canonical graph, where the form allows one) is computed once
@@ -35,6 +32,8 @@ is how the triage tests inject a deliberately-wrong one.
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,8 +44,10 @@ from repro.analysis.results import ExplorationLimits
 from repro.cache import MemoryKV, use_cache
 from repro.core.guarded_form import GuardedForm
 from repro.engine import ExplorationEngine, ParallelExplorationEngine, SqliteStore
-from repro.engine import _codec
 from repro.exceptions import CampaignError, ExplorationInterrupted
+from repro.io.serialization import guarded_form_to_dict
+from repro.service.dispatch import result_to_wire, run_analysis, run_analysis_wire
+from repro.service.request import REQUEST_API_VERSION, request_from_wire
 
 
 @dataclass
@@ -275,51 +276,42 @@ class BudgetOracle(Oracle):
         return self._agree(f"budget {budget}")
 
 
-class CodecOracle(Oracle):
-    """Pure-Python vs C-accelerated codec bit-identity (the PR 6 contract)."""
-
-    name = "codec"
-
-    def check(self, ctx: ExecutionContext) -> OracleOutcome:
-        if not _codec.ACCELERATED or _codec.is_pure():
-            return self._agree("accelerator unavailable; pure-only host")
-        reference = ctx.reference()
-        store = SqliteStore(ctx.store_path("codec"), binary_shapes=True, binary_guards=True)
-        engine = ExplorationEngine(ctx.form, limits=ctx.limits, store=store)
-        was_pure = _codec.set_pure(True)
-        try:
-            graph = engine.explore()
-        finally:
-            _codec.set_pure(was_pure)
-        store.close()
-        if not engine_graphs_identical(graph, reference):
-            return self._disagree("pure-codec graph diverged from accelerated")
-        return self._agree()
-
-
 class CacheOracle(Oracle):
-    """Cached vs uncached exploration bit-identity (the PR 10 contract).
+    """Result-cache transparency (the PR 10 contract).
 
-    Runs the form twice under one shared in-memory KV — cold, then warm, so
-    the second run's guard probes are served by the cache — and requires both
-    graphs node-id-exact against the uncached serial reference.
+    Answers the form's completability request at the wire boundary three
+    times: uncached, then cold and warm under one in-memory KV.  Both cached
+    bodies must be byte-identical to the uncached one, and the warm call must
+    be served from the ``results`` namespace.
     """
 
     name = "cache"
 
     def check(self, ctx: ExecutionContext) -> OracleOutcome:
-        reference = ctx.reference()
+        payload = {
+            "api": REQUEST_API_VERSION,
+            "form": guarded_form_to_dict(ctx.form),
+            "kind": "completability",
+            **dataclasses.asdict(ctx.limits),
+        }
+        # run_analysis never consults a cache, ambient or not
+        uncached = _canonical(result_to_wire(run_analysis(request_from_wire(payload))))
         kv = MemoryKV()
         with use_cache(kv):
-            cold = ExplorationEngine(ctx.form, limits=ctx.limits).explore()
-            warm_engine = ExplorationEngine(ctx.form, limits=ctx.limits)
-            warm = warm_engine.explore()
-        if not engine_graphs_identical(cold, reference):
-            return self._disagree("cold cached graph diverged from uncached")
-        if not engine_graphs_identical(warm, reference):
-            return self._disagree("warm cached graph diverged from uncached")
-        kv_hits = warm_engine.guards.kv_hits
-        return self._agree(f"{kv_hits} warm guard probes served by the KV")
+            _, cold = run_analysis_wire(payload)
+            _, warm = run_analysis_wire(payload)
+        if _canonical(cold) != uncached:
+            return self._disagree("cold cached body differs from uncached")
+        if _canonical(warm) != uncached:
+            return self._disagree("warm cached body differs from uncached")
+        hits = kv.stats()["namespaces"]["results"]["hits"]
+        if hits != 1:
+            return self._disagree(f"warm call made {hits} results hits, expected 1")
+        return self._agree("warm call served from the results namespace")
+
+
+def _canonical(body: dict) -> str:
+    return json.dumps(body, sort_keys=True, separators=(",", ":"))
 
 
 #: Registry keyed by oracle name (the ``--oracles`` vocabulary).
@@ -330,13 +322,12 @@ ORACLES: dict[str, type] = {
         SerialParallelOracle,
         ResumeOracle,
         BudgetOracle,
-        CodecOracle,
         CacheOracle,
     )
 }
 
 #: The default stack: every oracle, on every form.
-DEFAULT_STACK = ("legacy", "serial-parallel", "resume", "budget", "codec", "cache")
+DEFAULT_STACK = ("legacy", "serial-parallel", "resume", "budget", "cache")
 
 #: How often the worker-pool oracle runs under ``--smoke`` (spawning a pool
 #: per form dominates a large smoke campaign's wall time; sampling keeps the

@@ -181,15 +181,6 @@ def _add_limit_arguments(parser: argparse.ArgumentParser) -> None:
         "expansions (default: 1000)",
     )
     parser.add_argument(
-        "--cache",
-        metavar="DIR|URL",
-        default=None,
-        help="share guard/shape/result rows through a KV cache: a directory "
-        "(sqlite inside), sqlite://PATH, dir://PATH, or 'memory' (see "
-        "repro.cache; REPRO_CACHE sets the same default for every command; "
-        "results are bit-identical with or without)",
-    )
-    parser.add_argument(
         "--trace",
         metavar="PATH",
         default=None,
@@ -203,29 +194,6 @@ def _add_limit_arguments(parser: argparse.ArgumentParser) -> None:
         help="print the telemetry metric snapshot (counters, gauges, "
         "latency histograms) after the run",
     )
-
-
-@contextmanager
-def _cache_scope(args: argparse.Namespace):
-    """Open ``--cache`` (when given) as the ambient KV for the command body.
-
-    Without the flag this is a no-op — :func:`repro.cache.default_cache`
-    still resolves ``REPRO_CACHE`` on its own, so the env-var path needs no
-    scope here.  The flag-opened backend is flushed and closed when the
-    command finishes.
-    """
-    spec = getattr(args, "cache", None)
-    if not spec:
-        yield None
-        return
-    from repro.cache import open_kv, use_cache
-
-    cache = open_kv(spec)
-    try:
-        with use_cache(cache):
-            yield cache
-    finally:
-        cache.close()
 
 
 @contextmanager
@@ -381,9 +349,7 @@ def _cmd_render(args: argparse.Namespace, out) -> int:
 
 def _cmd_analyze(args: argparse.Namespace, out) -> int:
     profile_path = "analyze.pstats" if getattr(args, "profile", False) else None
-    with maybe_profiled(profile_path), _telemetry_scope(args, out), _cache_scope(
-        args
-    ):
+    with maybe_profiled(profile_path), _telemetry_scope(args, out):
         return _run_analyze(args, out)
 
 
@@ -509,7 +475,7 @@ def _cmd_invariant(args: argparse.Namespace, out) -> int:
     _check_workers(args)
     store = open_store(args.store, checkpoint_every=args.checkpoint_every)
     try:
-        with _telemetry_scope(args, out), _cache_scope(args):
+        with _telemetry_scope(args, out):
             result = always_holds(
                 form,
                 args.formula,
@@ -543,7 +509,7 @@ def _cmd_workflow(args: argparse.Namespace, out) -> int:
     _check_workers(args)
     store = open_store(args.store, checkpoint_every=args.checkpoint_every)
     try:
-        with _telemetry_scope(args, out), _cache_scope(args):
+        with _telemetry_scope(args, out):
             lts = extract_workflow(
                 form,
                 limits=_limits_from_args(args),
@@ -1018,7 +984,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_run.add_argument(
         "--oracles",
         default=",".join(
-            ("legacy", "serial-parallel", "resume", "budget", "codec", "cache")
+            ("legacy", "serial-parallel", "resume", "budget", "cache")
         ),
         help="comma-separated oracle stack (default: all oracles)",
     )
@@ -1161,9 +1127,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--trace", metavar="PATH", default=None,
                        help="write the server's merged Chrome trace to PATH on shutdown")
     serve.add_argument("--cache", metavar="DIR|URL", default=None,
-                       help="KV cache shared by every job this pod runs — guard rows, "
-                       "shape rows and whole memoized results (see repro.cache; "
-                       "default: REPRO_CACHE, else none)")
+                       help="KV cache of memoized analysis results shared by every "
+                       "job this pod runs: a directory (sqlite inside), "
+                       "sqlite://PATH, or 'memory' (see repro.cache; default: "
+                       "REPRO_CACHE, else none)")
     serve.set_defaults(handler=_cmd_serve)
 
     def _add_client_arguments(client_parser: argparse.ArgumentParser) -> None:

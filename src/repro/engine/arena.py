@@ -6,8 +6,7 @@ carries, when first asked for, its **canonical binary encoding** —
 byte-for-byte the :func:`~repro.io.serialization.encode_shape_binary`
 store-row format — and the CRC digest of that encoding, so
 ``stable_shape_hash`` is one CRC over cached bytes
-(:func:`repro.engine._codec.arena_hash`, C-accelerated when available)
-instead of a fresh recursive encode.
+(:func:`zlib.crc32`) instead of a fresh recursive encode.
 
 Rows enter the arena two ways:
 
@@ -41,10 +40,10 @@ eager encoding under any interleaving) are pinned by
 
 from __future__ import annotations
 
+import zlib
 from typing import Iterable, Optional
 
 from repro.core.tree import Shape
-from repro.engine import _codec
 from repro.exceptions import WireFormatError
 from repro.io.serialization import (
     SHAPE_BINARY_VERSION,
@@ -237,7 +236,7 @@ class ShapeArena:
         computed once over the encoding and memoized."""
         digest = self._hashes[row]
         if digest is None:
-            digest = _codec.arena_hash(self.encoded(row))
+            digest = zlib.crc32(self.encoded(row))
             self._hashes[row] = digest
         return digest
 

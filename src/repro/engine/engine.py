@@ -1109,6 +1109,8 @@ class ExplorationEngine:
     def stats_snapshot(self) -> dict:
         """All engine counters, flattened for ``AnalysisResult.stats``."""
         snapshot = dict(self.guards.stats())
+        # wall time, so it stays out of the run-independent guard counters
+        snapshot["guard_eval_seconds"] = round(self.guards.eval_seconds, 6)
         for key, value in self.interner.stats().items():
             snapshot[f"intern_{key}"] = value
         for key, value in self.shaper.stats().items():

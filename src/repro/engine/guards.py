@@ -23,12 +23,8 @@ levels of sharing, from widest to narrowest:
   explorations a semi-soundness analysis performs.
 
 Cache ``hits`` count formula evaluations that the legacy explorers would have
-performed but the engine served from memory; ``misses`` count evaluations the
-process-local tiers could not answer.  A shared KV tier (:mod:`repro.cache`)
-may intercept some of those misses before the formula actually runs — such
-interceptions still count as misses (so every counter is bit-identical with
-caching enabled, disabled, or warm) and are tracked separately in
-``kv_hits`` and the cache's own namespace counters.
+performed but the engine served from memory; ``misses`` count formula
+evaluations actually run.
 """
 
 from __future__ import annotations
@@ -47,26 +43,14 @@ from repro.core.formulas.ast import (
     Slash,
     Step,
 )
-from repro.cache.runtime import default_cache
 from repro.core.formulas.semantics import evaluate
 from repro.core.guarded_form import GuardedForm
 from repro.core.tree import Node, Shape
-from repro.io.serialization import (
-    decode_guard_key,
-    encode_guard_key_binary,
-    form_fingerprint,
-)
+from repro.io.serialization import decode_guard_key, encode_guard_key_binary
 from repro.obs import NO_TELEMETRY
 
 #: Sentinel distinguishing "not restored" from a restored ``False`` value.
 _MISSING = object()
-
-#: Guard-key tags whose entries are pure functions of the guarded form —
-#: paths, consed subtree shapes, support projections — and therefore valid
-#: in any process analysing the same form.  State-id-keyed tags (``"a"``,
-#: ``"d"``, ``"phi"``) embed ids a particular store assigned and never
-#: leave the process/store pair that minted them.
-_PORTABLE_TAGS = frozenset({"A", "D", "1a", "1d", "1p"})
 
 
 def support_labels(formula: Formula) -> frozenset:
@@ -125,7 +109,7 @@ def navigates_upward(formula: "Formula | PathExpr") -> bool:
 class GuardCache:
     """Memoizes access-rule and completion-formula evaluations for one form."""
 
-    def __init__(self, guarded_form: GuardedForm, store=None, telemetry=None, cache=None) -> None:
+    def __init__(self, guarded_form: GuardedForm, store=None, telemetry=None) -> None:
         self._form = guarded_form
         self._rules = guarded_form.rules
         self._cache: dict = {}
@@ -149,20 +133,8 @@ class GuardCache:
         #: value) and promoted into ``_cache`` on first probe; see
         #: :meth:`restore_raw`.
         self._restored_raw: dict = {}
-        #: Shared KV tier (:mod:`repro.cache`): portable entries are probed
-        #: here after the local tiers miss and published here after every
-        #: evaluation, so concurrent workers — and separate processes on the
-        #: same form — share evaluations mid-run.  Keys are prefixed with
-        #: the form fingerprint; values are one byte.
-        self._kv = cache if cache is not None else default_cache()
-        self._kv_prefix = (
-            form_fingerprint(guarded_form).encode("ascii") + b"|"
-            if self._kv is not None
-            else b""
-        )
         self.hits = 0
         self.misses = 0
-        self.kv_hits = 0
         self.entries_restored = 0
 
     # ------------------------------------------------------------------ #
@@ -186,9 +158,6 @@ class GuardCache:
             value = self._probe_restored(key)
             if value is not _MISSING:
                 return value
-            value = self._probe_kv(key)
-            if value is not _MISSING:
-                return value
             self.misses += 1
             obs = self._obs
             if obs.enabled:
@@ -202,7 +171,6 @@ class GuardCache:
             self._cache[key] = value
             if self._store is not None:
                 self._store.put_guard(key, value)
-            self._publish_kv(key, value)
             return value
 
     def _probe_restored(self, key):
@@ -225,45 +193,6 @@ class GuardCache:
             self.hits += 1
             self._cache[key] = value
         return value
-
-    def _probe_kv(self, key):
-        """A portable entry from the shared KV tier, or :data:`_MISSING`.
-
-        Only form-pure keys (:data:`_PORTABLE_TAGS`) are probed — state-id
-        keys would read another store's ids as this one's.  A hit spares
-        the formula evaluation but still **counts as a local miss**: the KV
-        only ever intercepts probes the process-local tiers already missed,
-        so charging it there keeps every ``stats()`` counter bit-identical
-        whether the cache is cold, warm, shared, or absent (the parity
-        suites compare whole result payloads).  KV effectiveness is
-        reported by the cache's own namespace counters and
-        :attr:`kv_hits`.  The entry lands in the in-process dict and is
-        written through to the persistent store, so resumed runs against
-        that store keep their full guard table.
-        """
-        kv = self._kv
-        if kv is None or key[0] not in _PORTABLE_TAGS:
-            return _MISSING
-        raw = kv.get("guards", self._kv_prefix + encode_guard_key_binary(key))
-        if raw is None:
-            return _MISSING
-        value = raw == b"\x01"
-        self.misses += 1
-        self.kv_hits += 1
-        self._cache[key] = value
-        if self._store is not None:
-            self._store.put_guard(key, value)
-        return value
-
-    def _publish_kv(self, key, value: bool) -> None:
-        """Offer one evaluated portable entry to the shared KV tier."""
-        kv = self._kv
-        if kv is not None and key[0] in _PORTABLE_TAGS:
-            kv.put(
-                "guards",
-                self._kv_prefix + encode_guard_key_binary(key),
-                b"\x01" if value else b"\x00",
-            )
 
     def restore(self, key: tuple, value: bool) -> None:
         """Seed one persisted guard entry (hydration; not written back)."""
@@ -338,9 +267,6 @@ class GuardCache:
             value = self._probe_restored(key)
             if value is not _MISSING:
                 return value
-            value = self._probe_kv(key)
-            if value is not _MISSING:
-                return value
             self.misses += 1
             obs = self._obs
             if obs.enabled:
@@ -356,7 +282,6 @@ class GuardCache:
             self._cache[key] = value
             if self._store is not None:
                 self._store.put_guard(key, value)
-            self._publish_kv(key, value)
             return value
 
     def d1_addition_allowed(self, state: frozenset, label: str) -> bool:
@@ -387,9 +312,9 @@ class GuardCache:
     def take_eval_seconds(self) -> float:
         """Drain the not-yet-reported miss-path evaluation time (telemetry).
 
-        The cumulative :attr:`eval_seconds` (what :meth:`stats` reports) is
-        untouched; this hands out each second exactly once, so callers can
-        feed a counter without double-counting.
+        The cumulative :attr:`eval_seconds` (the engine's
+        ``guard_eval_seconds``) is untouched; this hands out each second
+        exactly once, so callers can feed a counter without double-counting.
         """
         drained, self._eval_unreported = self._eval_unreported, 0.0
         return drained
@@ -409,5 +334,4 @@ class GuardCache:
             "formula_evaluations": self.misses,
             "formula_evaluations_saved": self.hits,
             "guard_entries_restored": self.entries_restored,
-            "guard_eval_seconds": round(self.eval_seconds, 6),
         }

@@ -39,12 +39,10 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Iterable, Optional
 
-from repro.cache.runtime import default_cache
 from repro.core.guarded_form import Addition, Update
 from repro.core.instance import Instance
 from repro.core.tree import LabelledTree, Node, Shape
 from repro.engine.arena import RowId, ShapeArena
-from repro.io.serialization import decode_shape_binary
 
 #: Interned state identifier: an index into the interner's shape table.
 StateId = int
@@ -109,44 +107,9 @@ class ShapeInterner:
         self.states_evicted = 0
         self.cons_pruned = 0
         self.store_id_lookups = 0
-        #: Shared KV read-through tier in front of the store fallbacks
-        #: (:mod:`repro.cache`).  Only consulted where the store would be —
-        #: the fully-resident hot path pays nothing — and scoped by the
-        #: store's :meth:`~repro.engine.store.StateStore.cache_scope` token,
-        #: because the id side of every entry is meaningless outside the
-        #: store file that assigned it.  Resolved lazily on first fallback.
-        self._kv = default_cache() if store is not None else None
-        self._kv_scope: Optional[bytes] = None
-        self.kv_id_hits = 0
-        self.kv_row_hits = 0
         #: Low-water mark for :meth:`prune_cons` triggering (set by the
         #: engine's budget enforcement; see ``ExplorationEngine``).
         self._cons_floor = 0
-
-    def _kv_scope_bytes(self) -> Optional[bytes]:
-        """The store-scoped KV key prefix, or ``None`` when KV is off."""
-        if self._kv is None:
-            return None
-        if self._kv_scope is None:
-            scope_of = getattr(self._store, "cache_scope", None)
-            scope = scope_of() if scope_of is not None else None
-            if scope is None:
-                # unattached or non-persistent store: ids have no durable
-                # identity, so nothing can be shared — switch KV off
-                self._kv = None
-                return None
-            self._kv_scope = scope.encode("ascii") + b"|"
-        return self._kv_scope
-
-    def _kv_publish_row(self, state_id: StateId, row: RowId) -> None:
-        """Offer one persisted row's two mappings to the shared KV tier."""
-        scope = self._kv_scope_bytes()
-        if scope is None:
-            return
-        encoded = self.arena.encoded(row)
-        id_bytes = b"%d" % state_id
-        self._kv.put("shapes", b"i" + scope + encoded, id_bytes)
-        self._kv.put("shapes", b"r" + scope + id_bytes, encoded)
 
     def cons(self, shape: Shape) -> Shape:
         """Return the canonical object for *shape* (hash-consing)."""
@@ -205,24 +168,6 @@ class ShapeInterner:
             return existing, False
         arena = self.arena
         if self._nonresident > 0 and self._store is not None:
-            # the shared KV read-through answers for the store when it can;
-            # a hit counts as a store fallback consultation all the same,
-            # so the interner's counters stay bit-identical with the cache
-            # cold, warm, or absent
-            scope = self._kv_scope_bytes()
-            if scope is not None:
-                cached = self._kv.get("shapes", b"i" + scope + arena.encoded(row))
-                if cached is not None:
-                    found = int(cached)
-                    # an id at or above _next_id was minted after this
-                    # interner bound its persisted range — it cannot be one
-                    # of our non-resident rows, so fall through to the store
-                    if 0 <= found < self._next_id:
-                        self.store_id_lookups += 1
-                        self._make_resident_row(found, row)
-                        self.state_hits += 1
-                        self.kv_id_hits += 1
-                        return found, False
             self.store_id_lookups += 1
             found = self._store.get_state_id(
                 None, digest=arena.stable_hash(row), encoded=arena.encoded(row)
@@ -230,7 +175,6 @@ class ShapeInterner:
             if found is not None:
                 self._make_resident_row(found, row)
                 self.state_hits += 1
-                self._kv_publish_row(found, row)
                 return found, False
         self.state_misses += 1
         new_id = self._next_id
@@ -241,7 +185,6 @@ class ShapeInterner:
             self._store.put_shape(
                 new_id, None, encoded=arena.encoded(row), digest=arena.stable_hash(row)
             )
-            self._kv_publish_row(new_id, row)
         return new_id, True
 
     def _make_resident(self, state_id: StateId, shape: Shape) -> Shape:
@@ -347,17 +290,9 @@ class ShapeInterner:
             self._shapes.move_to_end(state_id)
             return self.arena.cons_of(row)
         if self._store is not None and 0 <= state_id < self._next_id:
-            scope = self._kv_scope_bytes()
-            if scope is not None:
-                encoded = self._kv.get("shapes", b"r" + scope + b"%d" % state_id)
-                if encoded is not None:
-                    self.kv_row_hits += 1
-                    return self._make_resident(state_id, decode_shape_binary(encoded))
             stored = self._store.get_shape(state_id)
             if stored is not None:
-                shape = self._make_resident(state_id, stored)
-                self._kv_publish_row(state_id, self._shapes[state_id])
-                return shape
+                return self._make_resident(state_id, stored)
         raise IndexError(
             f"state id {state_id} is not interned (and not in the backing store)"
         )

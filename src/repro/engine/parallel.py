@@ -53,7 +53,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.cache.runtime import default_cache
 from repro.engine.engine import ExplorationEngine
 from repro.engine.interning import StateId
 from repro.engine.store import StateStore
@@ -170,16 +169,12 @@ class ParallelExplorationEngine(ExplorationEngine):
         if self._pool is None:
             if self.store.persistent:
                 self.store.flush()  # let workers hydrate everything so far
-            # the ambient KV cache travels to the worker processes by spec
-            # string — each opens its own handle (never a shared connection)
-            ambient = default_cache()
             self._pool = WorkerPool(
                 self.guarded_form,
                 self.workers,
                 store_path=self._store_path(),
                 binary_guards=getattr(self.store, "binary_guards", False),
                 telemetry_enabled=self.telemetry.enabled,
-                cache_spec=ambient.spec if ambient is not None else None,
             )
         return self._pool
 

@@ -44,7 +44,6 @@ import hashlib
 import json
 import sqlite3
 import time
-import uuid
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -218,18 +217,6 @@ class StateStore:
     def describe(self) -> dict:
         """Row counts and identity metadata (the ``store info`` CLI view)."""
         return {"backend": type(self).__name__, "persistent": self.persistent}
-
-    def cache_scope(self) -> Optional[str]:
-        """Token scoping shared-cache (KV) entries that embed this store's ids.
-
-        State ids are assigned per store, so shape→id mappings published to a
-        cross-process KV cache are only valid against the exact store file
-        that assigned them.  Persistent backends answer a unique token minted
-        when the store file was first attached (a recreated file gets a fresh
-        token, invalidating stale mappings); non-persistent backends answer
-        ``None`` and their ids are never published.
-        """
-        return None
 
 
 class InMemoryStore(StateStore):
@@ -430,16 +417,6 @@ class SqliteStore(SqliteBacked, StateStore):
             self._set_meta("form_fingerprint", fingerprint)
             self._set_meta("form_name", guarded_form.name)
             self._conn.commit()
-        # a unique id minted once per store file, scoping any shared-cache
-        # entries that embed this store's state ids (see cache_scope): a
-        # store recreated at the same path gets a fresh uuid, so stale
-        # shape→id mappings in a long-lived KV can never answer for it
-        if self._get_meta("store_uuid") is None:
-            self._set_meta("store_uuid", uuid.uuid4().hex)
-            self._conn.commit()
-
-    def cache_scope(self) -> Optional[str]:
-        return self._get_meta("store_uuid")
 
     def flush(self) -> None:
         if not (self._pending_shapes or self._pending_reps or self._pending_guards):
@@ -749,8 +726,8 @@ class SqliteStore(SqliteBacked, StateStore):
             "backend": "sqlite",
             "persistent": True,
             "path": self.path,
-            "shape_codec": "binary" if self.binary_shapes else "json",
-            "guard_codec": "binary" if self.binary_guards else "json",
+            "shape_encoding": "binary" if self.binary_shapes else "json",
+            "guard_encoding": "binary" if self.binary_guards else "json",
             "form_name": self._get_meta("form_name"),
             "form_fingerprint": self._get_meta("form_fingerprint"),
             "schema_version": self._get_meta("schema_version"),

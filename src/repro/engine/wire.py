@@ -27,10 +27,8 @@ Python-level function call per integer:
   ``guard_nbytes`` / ``expansion_nbytes`` metrics keep comparing expansion
   payloads like for like against the PR 3 encoding.
 
-The varint-run decoder itself is dispatched through
-:mod:`repro.engine._codec` — C-accelerated when the cffi extension is
-available, pure Python otherwise (``REPRO_PURE=1`` forces it), bit-identical
-either way.
+Varint runs are decoded in one batched loop
+(:func:`~repro.io.serialization.decode_uvarint_run`).
 
 Version 3 adds an **optional telemetry section** directly after the version
 byte: a varint byte length followed by a UTF-8 JSON blob — the worker's
@@ -88,9 +86,9 @@ from typing import Callable, Optional
 
 from repro.core.guarded_form import Addition, Deletion, Update
 from repro.core.tree import Shape
-from repro.engine import _codec
 from repro.exceptions import WireFormatError
 from repro.io.serialization import (
+    decode_uvarint_run,
     read_guard_entries,
     read_str,
     read_term,
@@ -300,14 +298,14 @@ class WireFrame:
     decoded when :meth:`shape_rows` / :meth:`shape_table` / :meth:`expansion`
     are first called, i.e. when the exploration loop actually pops a staged
     state; the decode itself runs over the frame buffer in batched varint
-    runs (:mod:`repro.engine._codec`), never byte-at-a-time Python loops.
+    runs (:func:`~repro.io.serialization.decode_uvarint_run`), never
+    byte-at-a-time Python loops.
     ``decode_seconds`` accumulates the wall time of both the eager and the
     lazy parses.
     """
 
     def __init__(self, data: bytes) -> None:
         started = time.perf_counter()
-        decode_run = _codec.decode_uvarint_run
         self._data = data
         if len(data) < len(WIRE_MAGIC) + 1 or data[: len(WIRE_MAGIC)] != WIRE_MAGIC:
             raise WireFormatError("not a wire frame (bad magic)")
@@ -367,7 +365,7 @@ class WireFrame:
         if pos > len(data):
             raise WireFormatError("truncated shape table")
         state_count, pos = read_uvarint(data, pos)
-        directory, pos = decode_run(data, pos, 2 * state_count)
+        directory, pos = decode_uvarint_run(data, pos, 2 * state_count)
         self._spans: dict = {}
         offset = pos
         for i in range(state_count):
@@ -406,10 +404,9 @@ class WireFrame:
         """
         if self._preorder is None:
             started = time.perf_counter()
-            decode_run = _codec.decode_uvarint_run
             pos, end = self._table_span
             data = self._data
-            counts, pos = decode_run(data, pos, self.shape_count)
+            counts, pos = decode_uvarint_run(data, pos, self.shape_count)
             total_nodes = 0
             for count in counts:
                 if count < 1:
@@ -419,7 +416,7 @@ class WireFrame:
                 # each preorder pair needs at least two bytes; reject before
                 # allocating for a count a truncated/corrupt frame made up
                 raise WireFormatError("shape table node counts exceed section size")
-            flat, pos = decode_run(data, pos, 2 * total_nodes)
+            flat, pos = decode_uvarint_run(data, pos, 2 * total_nodes)
             if pos != end:
                 raise WireFormatError(
                     f"shape table length mismatch: decoded to byte {pos}, "
@@ -529,7 +526,7 @@ class WireFrame:
                 total_fields += _DELETION_FIELDS
             else:
                 raise WireFormatError(f"unknown candidate kind byte {kind}")
-        fields, pos = _codec.decode_uvarint_run(data, pos, total_fields)
+        fields, pos = decode_uvarint_run(data, pos, total_fields)
         if pos != end:
             raise WireFormatError(
                 f"state payload length mismatch: decoded to byte {pos}, "

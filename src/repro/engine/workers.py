@@ -43,7 +43,6 @@ import queue as queue_module
 import traceback
 from typing import Optional
 
-from repro.cache.runtime import default_cache, open_kv, reset_cache_runtime, use_cache
 from repro.core.guarded_form import GuardedForm, Update
 from repro.engine.engine import enumerate_expansion
 from repro.engine.guards import GuardCache
@@ -205,7 +204,6 @@ def worker_main(
     nshards=None,
     binary_guards=False,
     telemetry_enabled=False,
-    cache_spec=None,
 ) -> None:
     """Entry point of one worker process: loop over task batches until told
     to shut down, reporting each batch (or the failure that killed it).
@@ -220,59 +218,39 @@ def worker_main(
     :class:`~repro.obs.Telemetry` (real pid, process name
     ``frontier-worker-<index>``) whose spans and metric deltas each frame
     ships back for the coordinator's cross-process merge.
-
-    With *cache_spec* (the coordinator's shared KV-cache spec; falling back
-    to ``REPRO_CACHE``) the worker opens its **own** backend handle and
-    makes it ambient for its guard cache, so one worker's guard evaluations
-    reach the others mid-run — at cache batch boundaries — instead of only
-    through the sqlite WAL.  Fork-inherited cache objects are discarded
-    first: an sqlite connection must never be shared across a fork.
     """
-    reset_cache_runtime()
     telemetry = Telemetry(process=f"frontier-worker-{index}") if telemetry_enabled else None
     try:
-        cache = open_kv(cache_spec) if cache_spec else default_cache()
+        worker = FrontierWorker(
+            guarded_form,
+            store_path,
+            shard=index,
+            nshards=nshards,
+            binary_guards=binary_guards,
+            telemetry=telemetry,
+        )
     except BaseException:  # noqa: BLE001 - report startup failures, don't hang the pool
         results.put((index, None, None, traceback.format_exc()))
         return
-    with use_cache(cache):
-        try:
-            worker = FrontierWorker(
-                guarded_form,
-                store_path,
-                shard=index,
-                nshards=nshards,
-                binary_guards=binary_guards,
-                telemetry=telemetry,
-            )
-        except BaseException:  # noqa: BLE001 - report startup failures, don't hang the pool
-            results.put((index, None, None, traceback.format_exc()))
+    while True:
+        message = tasks.get()
+        if message is _SHUTDOWN:
             return
-        while True:
-            message = tasks.get()
-            if message is _SHUTDOWN:
-                if cache is not None:
-                    cache.close()  # publish the tail of the put buffer
-                return
-            wave, batch = message
-            try:
-                frame = worker.run_batch(batch)
-            except BaseException:  # noqa: BLE001 - the coordinator re-raises
-                results.put((index, wave, None, traceback.format_exc()))
-            else:
-                results.put((index, wave, frame, None))
-                if cache is not None:
-                    # batch boundary: make this wave's evaluations visible
-                    # to the sibling workers now, not at shutdown
-                    cache.flush()
+        wave, batch = message
+        try:
+            frame = worker.run_batch(batch)
+        except BaseException:  # noqa: BLE001 - the coordinator re-raises
+            results.put((index, wave, None, traceback.format_exc()))
+        else:
+            results.put((index, wave, frame, None))
 
 
 class WorkerPool:
     """N frontier worker processes plus the queues to talk to them.
 
     The pool is created lazily by the parallel engine's first prefetch and
-    lives for the engine's lifetime, so worker-local guard/shape caches keep
-    paying off across the many explorations one analysis performs.  Workers
+    lives for the engine's lifetime, so worker-local guard and shape caches
+    keep paying off across the many explorations one analysis performs.  Workers
     are daemons: an exiting coordinator can never be held hostage by them.
     """
 
@@ -283,7 +261,6 @@ class WorkerPool:
         store_path: Optional[str] = None,
         binary_guards: bool = False,
         telemetry_enabled: bool = False,
-        cache_spec: Optional[str] = None,
     ) -> None:
         if workers < 1:
             raise AnalysisError("a worker pool needs at least one worker")
@@ -304,7 +281,6 @@ class WorkerPool:
                     workers,
                     binary_guards,
                     telemetry_enabled,
-                    cache_spec,
                 ),
                 daemon=True,
                 name=f"repro-frontier-worker-{index}",

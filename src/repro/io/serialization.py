@@ -617,6 +617,49 @@ def read_uvarint(data: bytes, pos: int) -> tuple[int, int]:
         shift += 7
 
 
+_U64_MAX = (1 << 64) - 1
+
+
+def decode_uvarint_run(data, pos: int, count: int) -> tuple[list, int]:
+    """Decode *count* LEB128 varints starting at *pos* in one batched loop.
+
+    Returns ``(values, new pos)``.  Single-byte varints (the overwhelming
+    majority on real frames) take the one-comparison fast path; multi-byte
+    continuations fall into the generic loop.
+
+    Raises:
+        WireFormatError: truncation mid-value, or a value exceeding 64 bits
+            (far above any legitimate node id, table index, length or count).
+    """
+    out: list = []
+    append = out.append
+    size = len(data)
+    for _ in range(count):
+        if pos >= size:
+            raise WireFormatError("truncated varint run: buffer ended mid-value")
+        byte = data[pos]
+        pos += 1
+        if byte < 0x80:
+            append(byte)
+            continue
+        value = byte & 0x7F
+        shift = 7
+        while True:
+            if pos >= size:
+                raise WireFormatError("truncated varint run: buffer ended mid-value")
+            byte = data[pos]
+            pos += 1
+            bits = byte & 0x7F
+            if shift >= 64 or bits > (_U64_MAX >> shift):
+                raise WireFormatError("varint overflow: value exceeds 64 bits")
+            value |= bits << shift
+            if byte < 0x80:
+                break
+            shift += 7
+        append(value)
+    return out, pos
+
+
 def write_str(out: bytearray, text: str) -> None:
     """Append a length-prefixed UTF-8 string."""
     encoded = text.encode("utf-8")

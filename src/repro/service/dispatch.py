@@ -176,6 +176,23 @@ def _json_safe(value):
     return repr(value)
 
 
+def _body_stats(stats: dict) -> dict:
+    """*stats* without the engine fields that measure the run rather than
+    the answer: wall-clock ``*_seconds`` counters and the live telemetry
+    snapshot (``obs``).  Two runs of one request never agree on those, so
+    result bodies leave them out; ``stats_snapshot()`` and the metrics
+    registry keep them."""
+    engine = stats.get("engine")
+    if not isinstance(engine, dict):
+        return stats
+    kept = {
+        key: value
+        for key, value in engine.items()
+        if key != "obs" and not key.endswith("_seconds")
+    }
+    return {**stats, "engine": kept}
+
+
 def result_to_wire(result: AnalysisResult) -> dict:
     """Encode an :class:`AnalysisResult` as its versioned JSON-safe wire dict.
 
@@ -183,7 +200,9 @@ def result_to_wire(result: AnalysisResult) -> dict:
     transitions counts inside ``stats`` — survive the trip exactly; witness
     runs travel as their update lists
     (:func:`repro.io.serialization.encode_update`) and counterexample
-    instances as their instance dicts.
+    instances as their instance dicts.  Wall-clock engine counters stay out
+    of the body (:func:`_body_stats`), so two runs of one request encode to
+    the same bytes.
     """
     witness = None
     if result.witness_run is not None:
@@ -197,7 +216,7 @@ def result_to_wire(result: AnalysisResult) -> dict:
         "decided": result.decided,
         "answer": result.answer,
         "procedure": result.procedure,
-        "stats": _json_safe(result.stats),
+        "stats": _json_safe(_body_stats(result.stats)),
         "witness_run": witness,
         "counterexample": counterexample,
     }

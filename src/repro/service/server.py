@@ -81,9 +81,9 @@ class ServerConfig:
         stall_multiple / stall_floor_seconds: the family-median stall
             detector's knobs (see :mod:`repro.service.admission`).
         trace_path: write the server's merged Chrome trace here on shutdown.
-        cache: shared KV-cache spec (``repro serve --cache DIR|URL``; see
-            :func:`repro.cache.open_kv`).  When unset, the ambient
-            ``REPRO_CACHE`` cache — if any — is used instead.
+        cache: spec of the shared cache of memoized results (``repro serve
+            --cache DIR|URL``; see :func:`repro.cache.open_kv`).  When unset,
+            the ambient ``REPRO_CACHE`` cache — if any — is used instead.
     """
 
     store_dir: str
@@ -117,7 +117,7 @@ class PodServer:
             multiple=config.stall_multiple, floor_seconds=config.stall_floor_seconds
         )
         self.telemetry = Telemetry(process="pod-server")
-        #: Shared KV cache (guards/shapes/results): the configured spec, or
+        #: Shared cache of memoized results: the configured spec, or
         #: whatever ``REPRO_CACHE`` resolves to, or ``None`` (no caching).
         self.cache = open_kv(config.cache) if config.cache else default_cache()
         recovered = self.jobs.recover()
@@ -395,9 +395,7 @@ class PodServer:
                     return
                 started = time.monotonic()
                 try:
-                    # the cache context also hands the engine layers (guard
-                    # and shape KV tiers) the pod's shared cache
-                    with use_telemetry(recorder), use_cache(self.cache):
+                    with use_telemetry(recorder):
                         result = run_analysis(base.replace(resume=resume))
                 except ExplorationInterrupted as pause:
                     self.stalls.record(family, time.monotonic() - started)
@@ -496,6 +494,11 @@ def _check_store_name(name: str) -> None:
         )
 
 
+#: Largest request body the pod accepts, in bytes.  A longer declared
+#: ``Content-Length`` is refused with 413 before any of the body is read.
+MAX_REQUEST_BYTES = 1 << 20
+
+
 class _PodHandler(BaseHTTPRequestHandler):
     """Thin socket adapter over :meth:`PodServer.handle`."""
 
@@ -513,32 +516,48 @@ class _PodHandler(BaseHTTPRequestHandler):
         path = urlparse(self.path).path
         payload: object = None
         if method == "POST":
-            length = int(self.headers.get("Content-Length") or 0)
+            header = self.headers.get("Content-Length", "0").strip()
+            if not (header.isascii() and header.isdigit()):
+                # the body's extent is unknown, so the connection cannot be
+                # reused for another request
+                self.close_connection = True
+                self._refuse(
+                    400, "bad-request", f"Content-Length {header!r} is not a byte count"
+                )
+                return
+            length = int(header)
+            if length > MAX_REQUEST_BYTES:
+                self.close_connection = True  # the body is left unread
+                self._refuse(
+                    413,
+                    "payload-too-large",
+                    f"request body of {length} bytes exceeds the "
+                    f"{MAX_REQUEST_BYTES}-byte limit",
+                )
+                return
             raw = self.rfile.read(length) if length else b""
             if raw:
                 try:
                     payload = json.loads(raw.decode("utf-8"))
                 except (UnicodeDecodeError, json.JSONDecodeError):
-                    self._respond(
-                        400,
-                        {
-                            "error": {
-                                "code": "bad-request",
-                                "message": "request body is not valid JSON",
-                                "retryable": False,
-                            }
-                        },
-                    )
+                    self._refuse(400, "bad-request", "request body is not valid JSON")
                     return
         with self.pod.telemetry.span(f"http.{method}", path=path):
             status, body = self.pod.handle(method, path, payload)
         self._respond(status, body)
+
+    def _refuse(self, status: int, code: str, message: str) -> None:
+        self._respond(
+            status, {"error": {"code": code, "message": message, "retryable": False}}
+        )
 
     def _respond(self, status: int, body: dict) -> None:
         data = json.dumps(body).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(data)
 

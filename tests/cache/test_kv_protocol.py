@@ -1,11 +1,11 @@
-"""One property suite, three backends: the KV cache protocol contract.
+"""One property suite, two backends: the KV cache protocol contract.
 
 Every backend behind ``--cache`` must be observably interchangeable:
 round-trip identity, ``mget``/``mput`` parity with the single-key calls,
 TTL expiry against an injected clock (no sleeping), delete semantics, scan
 completeness, and honest per-namespace counters.  The LRU bound is
 :class:`MemoryKV`-specific and tested separately; the shared-by-spec
-backends additionally prove that a second handle on the same spec sees a
+sqlite backend additionally proves that a second handle on the same spec sees a
 flushed writer's entries.
 """
 
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import DirKV, MemoryKV, SqliteKV, open_kv
+from repro.cache import MemoryKV, SqliteKV, open_kv
 from repro.exceptions import StoreError
 
 NAMESPACES = ("guards", "shapes", "results", "adhoc")
@@ -49,12 +49,10 @@ class _Backend:
         if self.name == "memory":
             return MemoryKV(clock=clock), None
         tmp = tempfile.TemporaryDirectory()
-        if self.name == "sqlite":
-            return SqliteKV(f"{tmp.name}/cache.db", clock=clock), tmp
-        return DirKV(f"{tmp.name}/kv", clock=clock), tmp
+        return SqliteKV(f"{tmp.name}/cache.db", clock=clock), tmp
 
 
-BACKENDS = [_Backend("memory"), _Backend("sqlite"), _Backend("dir")]
+BACKENDS = [_Backend("memory"), _Backend("sqlite")]
 
 
 def run_on(backend, clock, body):
@@ -175,12 +173,12 @@ def test_memory_lru_bound_evicts_least_recent(overflow):
     assert cache.get("guards", b"%d" % (overflow + 1)) is None
 
 
-@pytest.mark.parametrize("scheme", ["sqlite", "dir"])
+@pytest.mark.parametrize("scheme", ["sqlite"])
 @given(items=st.dictionaries(keys, values, min_size=1, max_size=8))
 @settings(max_examples=10, deadline=None)
 def test_two_handles_share_one_spec(scheme, items):
     with tempfile.TemporaryDirectory() as tmp:
-        spec = f"{scheme}://{tmp}/shared" + (".db" if scheme == "sqlite" else "")
+        spec = f"{scheme}://{tmp}/shared.db"
         writer = open_kv(spec)
         reader = open_kv(writer.spec)  # the spec round-trips through stats
         try:
@@ -199,9 +197,6 @@ class TestOpenKv:
         sqlite_kv = open_kv(f"sqlite://{tmp_path}/a.db")
         assert isinstance(sqlite_kv, SqliteKV)
         sqlite_kv.close()
-        dir_kv = open_kv(f"dir://{tmp_path}/d")
-        assert isinstance(dir_kv, DirKV)
-        dir_kv.close()
         bare_db = open_kv(str(tmp_path / "bare.sqlite"))
         assert isinstance(bare_db, SqliteKV)
         bare_db.close()

@@ -10,9 +10,9 @@ Three contracts, each differential against an uncached reference:
   spec (standing in for a second process) answers from the first handle's
   flushed entries without re-running the analysis;
 
-* **engine-level caching** — guard/shape KV read-throughs never change a
-  graph: serial and ``workers=2`` explorations are node-id-exact with the
-  cache cold, warm, and absent.
+* **engine neutrality** — an ambient cache never changes a graph: serial
+  and ``workers=2`` explorations are node-id-exact with the cache cold,
+  warm, and absent.
 """
 
 import json
@@ -162,9 +162,12 @@ class TestEngineBitIdentity:
             cold = ExplorationEngine(self.form(), limits=self.LIMITS).explore()
             warm_engine = ExplorationEngine(self.form(), limits=self.LIMITS)
             warm = warm_engine.explore()
+            run_analysis_wire(payload("completability"))
+            run_analysis_wire(payload("completability"))
         assert exact_edges(cold) == exact_edges(reference)
         assert exact_edges(warm) == exact_edges(reference)
-        assert warm_engine.guards.kv_hits > 0  # the cache really engaged
+        # the cache really engaged: the warm wire call was a results hit
+        assert kv.stats()["namespaces"]["results"]["hits"] == 1
 
     def test_stats_are_cache_neutral(self):
         uncached_engine = ExplorationEngine(self.form(), limits=self.LIMITS)

@@ -1,6 +1,6 @@
-"""Hypothesis properties of the flat shape arena and the dual-path codec.
+"""Hypothesis properties of the flat shape arena and the varint-run decoder.
 
-Three contracts pinned over arbitrary shapes, varint runs and wire frames:
+Four contracts pinned over arbitrary shapes and varint runs:
 
 * **arena round trips** — interning a cons shape into a
   :class:`~repro.engine.arena.ShapeArena` and materialising it back
@@ -8,34 +8,33 @@ Three contracts pinned over arbitrary shapes, varint runs and wire frames:
   preorder wire path) lands on the same deduplicated row; the arena's cached
   row encoding and digest equal :func:`encode_shape_binary` /
   :func:`stable_shape_hash` byte for byte;
-* **pure/accelerated parity** — the C codec (when it compiled) and the
-  mandatory pure-Python fallback agree on every varint run (values, end
-  positions, truncation and overflow rejections alike), on the CRC digest,
-  and on whole-frame decodes, byte for byte;
+* **varint runs** — :func:`decode_uvarint_run` returns the values written
+  and their end position, and on arbitrary buffers rejects exactly what a
+  loop of single-value reads bounded at 64 bits rejects; the arena digest
+  is :func:`zlib.crc32` of the canonical encoding;
 * **rejection** — malformed preorder streams (multiple roots, missing
   children) never build a row silently;
 * **deferred encoding** — rows interned as tuples are encoded on first use,
   yet any interleaving of interning, encoding, hashing and memo drops gives
   the row ids, encodings and digests of an arena that encodes eagerly.
 
-The dedicated CI job runs this module with ``--hypothesis-profile=ci``; a
-separate matrix leg re-runs the whole tier-1 suite under ``REPRO_PURE=1``
-(where the accelerated half of the differentials auto-skips).
+The dedicated CI job runs this module with ``--hypothesis-profile=ci``.
 """
 
 from __future__ import annotations
 
+import zlib
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.guarded_form import Addition, Deletion
-from repro.engine import _codec
 from repro.engine.arena import ShapeArena
-from repro.engine.wire import FrameEncoder, WireFrame
 from repro.exceptions import WireFormatError
 from repro.io.serialization import (
+    decode_uvarint_run,
     encode_shape_binary,
+    read_uvarint,
     stable_shape_hash,
     write_uvarint,
 )
@@ -50,17 +49,10 @@ shapes = st.recursive(
     max_leaves=12,
 )
 
-node_ids = st.integers(min_value=0, max_value=2**20)
-
 uvarint_values = st.one_of(
     st.integers(min_value=0, max_value=127),  # the single-byte fast path
     st.integers(min_value=0, max_value=(1 << 64) - 1),
 )
-
-needs_accel = pytest.mark.skipif(
-    not _codec.ACCELERATED, reason="C codec extension not available"
-)
-
 
 def preorder_pairs(arena, shape):
     """Preorder ``(label_id, child count)`` pairs — the wire decode input."""
@@ -71,26 +63,6 @@ def preorder_pairs(arena, shape):
         pairs.append((arena.label_id(label), len(children)))
         stack.extend(reversed(children))
     return pairs
-
-
-@st.composite
-def candidates(draw):
-    shape = draw(shapes)
-    size = draw(st.integers(min_value=1, max_value=200))
-    if draw(st.booleans()):
-        update = Addition(draw(node_ids), draw(labels))
-        return (update, shape, True, size, draw(st.integers(min_value=0, max_value=8)))
-    return (Deletion(draw(node_ids)), shape, False, size, 0)
-
-
-@st.composite
-def frames(draw):
-    state_ids = draw(st.lists(node_ids, min_size=0, max_size=4, unique=True))
-    encoder = FrameEncoder()
-    for state_id in state_ids:
-        cands = draw(st.lists(candidates(), max_size=5))
-        encoder.add_state(state_id, cands, draw(st.integers(min_value=0, max_value=50)))
-    return encoder.finish(), state_ids
 
 
 class TestArenaRoundTrip:
@@ -211,63 +183,34 @@ class TestCodecParity:
         for value in values:
             write_uvarint(buffer, value)
         data = bytes(buffer) + trailing
-        pure_values, pure_pos = _codec.pure_decode_uvarint_run(data, 0, len(values))
-        assert pure_values == values
-        assert pure_pos == len(buffer)
-        if _codec.ACCELERATED:
-            c_values, c_pos = _codec.c_decode_uvarint_run(data, 0, len(values))
-            assert (c_values, c_pos) == (pure_values, pure_pos)
+        assert decode_uvarint_run(data, 0, len(values)) == (values, len(buffer))
 
-    @needs_accel
     @given(st.binary(max_size=64), st.integers(min_value=0, max_value=16))
     def test_arbitrary_buffers_agree_on_rejection(self, data, count):
-        try:
-            pure = _codec.pure_decode_uvarint_run(data, 0, count)
-        except WireFormatError as exc:
-            pure = ("error", str(exc))
-        try:
-            accel = _codec.c_decode_uvarint_run(data, 0, count)
-        except WireFormatError as exc:
-            accel = ("error", str(exc))
-        assert accel == pure
+        def one_at_a_time():
+            decoded, pos = [], 0
+            for _ in range(count):
+                value, end = read_uvarint(data, pos)
+                # the run decoder's 64-bit bound: at most ten bytes, and a
+                # value below 2**64
+                if end - pos > 10 or value >> 64:
+                    raise WireFormatError("varint overflow")
+                decoded.append(value)
+                pos = end
+            return decoded, pos
 
-    @needs_accel
-    @given(st.binary(max_size=256))
-    def test_crc_implementations_agree(self, data):
-        assert _codec.c_arena_hash(data) == _codec.pure_arena_hash(data)
+        def outcome(decode):
+            try:
+                return decode()
+            except WireFormatError:
+                return "rejected"
+
+        assert outcome(lambda: decode_uvarint_run(data, 0, count)) == outcome(
+            one_at_a_time
+        )
 
     @given(shapes)
     def test_stable_hash_is_crc_of_the_canonical_encoding(self, shape):
         arena = ShapeArena()
         row = arena.intern_cons(shape)
-        digest = arena.stable_hash(row)
-        assert digest == _codec.pure_arena_hash(encode_shape_binary(shape))
-        if _codec.ACCELERATED:
-            assert digest == _codec.c_arena_hash(encode_shape_binary(shape))
-
-
-class TestFrameParity:
-    @needs_accel
-    @given(frames())
-    @settings(deadline=None)
-    def test_frames_decode_identically_under_both_paths(self, packed):
-        data, state_ids = packed
-
-        def decode():
-            arena = ShapeArena()
-            frame = WireFrame(data)
-            rows = frame.shape_rows(arena)
-            return (
-                [bytes(arena.encoded(row)) for row in rows],
-                [arena.stable_hash(row) for row in rows],
-                [frame.expansion(state_id) for state_id in state_ids],
-                frame.guard_entries,
-            )
-
-        was_pure = _codec.set_pure(True)
-        try:
-            pure_result = decode()
-        finally:
-            _codec.set_pure(was_pure)
-        assert not _codec.is_pure()
-        assert decode() == pure_result
+        assert arena.stable_hash(row) == zlib.crc32(encode_shape_binary(shape))
