@@ -2,7 +2,7 @@
 
 CI runs this after the benchmark smoke to publish, next to the raw report, a
 markdown artifact showing how every workload moved against the committed
-baseline — states/sec, formula evaluations, the binary wire-protocol
+baseline — states/sec, formula evaluations, the worker-answer volume
 fields added in PR 4 (wire bytes per candidate, shape-dedup hit rate, the
 reduction vs the PR 3 encoding), and the sizes of the campaign-mined corpus
 workloads.  Fields missing from either side (e.g. the

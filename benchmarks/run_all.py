@@ -17,7 +17,7 @@ Two sections are produced:
   count (a 1-core host cannot speed up CPU-bound work, so the speedup figure
   is only meaningful alongside ``cpu_count``), a serial-vs-parallel
   bit-identity verdict that the ``--check`` gate enforces unconditionally,
-  and the binary wire protocol's volume metrics — payload bytes, wire bytes
+  and the worker answers' volume metrics — payload bytes, wire bytes
   per candidate (gated to stay >=40% below the PR 3 per-candidate encoding,
   which is measured on the serial reference for comparison), shape-dedup hit
   rate and decode time.  A *bounded-residency attach* workload builds a
@@ -339,9 +339,7 @@ def measure_residency_attach(frontier: str, attach_states: int, budget: int) -> 
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "attach.db"
-        build_store = SqliteStore(
-            path, batch_size=4096, binary_shapes=True, binary_guards=True
-        )
+        build_store = SqliteStore(path, batch_size=4096)
         build_engine = ExplorationEngine(form, limits=build_limits, store=build_store)
         started = time.perf_counter()
         build_graph = build_engine.explore()
@@ -351,7 +349,7 @@ def measure_residency_attach(frontier: str, attach_states: int, budget: int) -> 
         del build_engine, build_store
 
         def attach_store():
-            return SqliteStore(path, binary_shapes=True, binary_guards=True)
+            return SqliteStore(path)
 
         # reference: fresh unbounded attach, touching the same slice
         ref_store = attach_store()
@@ -444,7 +442,7 @@ def measure_parallel(frontier: str, worker_counts: list[int]) -> list[dict]:
 
     Parity is checked bit-for-bit (state ids *and* node-id-exact
     transitions); the serial run is measured on a fresh engine each time so
-    both sides start cold.  Each row also records the binary wire protocol's
+    both sides start cold.  Each row also records the worker answers'
     volume metrics (payload bytes, bytes per candidate, shape-dedup hit rate,
     decode time) next to the PR 3 per-candidate encoding cost measured on the
     serial reference, so the --check gate can enforce the reduction floor.
@@ -527,7 +525,7 @@ def measure_parallel(frontier: str, worker_counts: list[int]) -> list[dict]:
                 "states_prefetched": stats["states_prefetched"],
                 "waves_dispatched": stats["waves_dispatched"],
                 "worker_guard_entries_merged": stats["worker_guard_entries_merged"],
-                # binary wire protocol (PR 4): volume + dedup + decode cost,
+                # worker answers: volume + dedup + decode cost,
                 # and the PR 3 encoding cost for the same candidates
                 "wire_frames_received": stats["wire_frames_received"],
                 "wire_bytes_received": stats["wire_bytes_received"],
@@ -900,9 +898,7 @@ def measure_store_backed(frontier: str, limits) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "bench.db"
         # phase 1: cold build (fresh store, all guards evaluated)
-        build_store = SqliteStore(
-            path, batch_size=512, binary_shapes=True, binary_guards=True
-        )
+        build_store = SqliteStore(path, batch_size=512)
         build_engine = ExplorationEngine(
             form, limits=limits, strategy=frontier, store=build_store
         )
@@ -916,7 +912,7 @@ def measure_store_backed(frontier: str, limits) -> dict:
         # phase 2 (measured): warm re-attach — the first explore() hydrates
         # the persisted guard rows into the fresh engine's cache, so the
         # exploration replays against pre-warmed guards and stored shapes
-        store = SqliteStore(path, binary_shapes=True, binary_guards=True)
+        store = SqliteStore(path)
         engine = ExplorationEngine(form, limits=limits, strategy=frontier, store=store)
         started = time.perf_counter()
         graph = engine.explore()

@@ -262,7 +262,7 @@ class BudgetOracle(Oracle):
     def check(self, ctx: ExecutionContext) -> OracleOutcome:
         reference = ctx.reference()
         budget = max(4, len(reference.states) // 4)
-        store = SqliteStore(ctx.store_path("budget"), binary_shapes=True, binary_guards=True)
+        store = SqliteStore(ctx.store_path("budget"))
         engine = ExplorationEngine(
             ctx.form, limits=ctx.limits, store=store, resident_budget=budget
         )

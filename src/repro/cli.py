@@ -80,7 +80,6 @@ from repro.core.fragments import classify
 from repro.core.guarded_form import GuardedForm
 from repro.engine import (
     STRATEGIES,
-    WIRE_VERSION,
     ExplorationEngine,
     ParallelExplorationEngine,
     SqliteStore,
@@ -416,7 +415,7 @@ def _run_analyze(args: argparse.Namespace, out) -> int:
             )
             if stats["wire_frames_received"]:
                 print(
-                    f"wire (v{WIRE_VERSION} frames): "
+                    "wire: "
                     f"{stats['wire_bytes_received']} bytes in "
                     f"{stats['wire_frames_received']} frames, "
                     f"{stats['wire_bytes_per_candidate']} bytes/candidate, "

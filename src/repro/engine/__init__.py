@@ -26,10 +26,10 @@ This package is that hot path, carved out as an explicit subsystem:
   :class:`ParallelExplorationEngine`, expanding frontier waves on
   :class:`WorkerPool` processes (shape-hash sharded, batched result merging)
   with results bit-identical to the serial engine;
-* :mod:`repro.engine.wire` — the versioned binary wire codec for
-  worker→coordinator batches: struct-packed frames with a per-batch shape
-  table (each distinct successor root shape serialised once, candidates
-  referencing it by index) and inline guard entries.
+* :mod:`repro.engine.wire` — the workers' answers to task batches: one
+  pickled answer per batch with a per-batch shape table (each distinct
+  successor root shape listed once, candidates referencing it by index)
+  and inline guard entries.
 
 The legacy entry points ``explore_depth1`` / ``explore_bounded`` in
 :mod:`repro.analysis.statespace` remain as thin shims over this engine.
@@ -52,7 +52,7 @@ from repro.engine.store import (
     exploration_run_key,
     open_store,
 )
-from repro.engine.wire import WIRE_VERSION, FrameEncoder, WireFrame
+from repro.engine.wire import FrameEncoder, WireFrame
 from repro.engine.workers import FrontierWorker, WorkerPool
 from repro.engine.strategies import (
     STRATEGIES,
@@ -72,7 +72,6 @@ __all__ = [
     "stable_shape_hash",
     "WorkerPool",
     "FrontierWorker",
-    "WIRE_VERSION",
     "FrameEncoder",
     "WireFrame",
     "StateStore",

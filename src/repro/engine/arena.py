@@ -8,24 +8,19 @@ store-row format — and the CRC digest of that encoding, so
 ``stable_shape_hash`` is one CRC over cached bytes
 (:func:`zlib.crc32`) instead of a fresh recursive encode.
 
-Rows enter the arena two ways:
-
-* :meth:`ShapeArena.intern_cons` takes a nested-tuple shape.  A tuple→row
-  memo deduplicates it, and the row's encoding is **deferred** until
-  :meth:`~ShapeArena.encoded` or :meth:`~ShapeArena.stable_hash` first asks
-  for it.  A store-less exploration interns many more shapes than it ever
-  encodes, so most rows stay one memo entry;
-* :meth:`ShapeArena.intern_preorder` / :meth:`~ShapeArena.intern_preorder_flat`
-  take the wire decoder's preorder ``(label id, child count)`` runs and
-  deduplicate by encoding, which they assemble from cached label framings
-  without building a tuple.
+Rows enter the arena one way: :meth:`ShapeArena.intern_cons` takes a
+nested-tuple shape (the engine's own, or one from a worker's answer).  A
+tuple→row memo deduplicates it, and the row's encoding is **deferred** until
+:meth:`~ShapeArena.encoded` or :meth:`~ShapeArena.stable_hash` first asks
+for it.  A store-less exploration interns many more shapes than it ever
+encodes, so most rows stay one memo entry.
 
 The encoding is injective and order-preserving, so byte equality is shape
-equality.  The tuple memo can only answer for shapes that came in as
-tuples, so before the first encoding-keyed probe (a preorder intern,
-:meth:`~ShapeArena.find_cons`, :meth:`~ShapeArena.drop_cons_cache`) every
+equality.  Before the first encoding-keyed probe
+(:meth:`~ShapeArena.find_cons`, :meth:`~ShapeArena.drop_cons_cache`) every
 row is encoded and indexed by its bytes, and from then on ``intern_cons``
-encodes eagerly.  Either way a shape lands on one row.
+encodes eagerly, so a shape whose tuple memo was dropped still lands on its
+row.
 
 The tuple memos are droppable under residency budgets: the encodings are
 the ground truth, and :meth:`ShapeArena.cons_of` decodes a row back into its
@@ -41,10 +36,9 @@ eager encoding under any interleaving) are pinned by
 from __future__ import annotations
 
 import zlib
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.core.tree import Shape
-from repro.exceptions import WireFormatError
 from repro.io.serialization import (
     SHAPE_BINARY_VERSION,
     decode_shape_binary,
@@ -54,17 +48,6 @@ from repro.io.serialization import (
 
 #: Index of a shape row in a :class:`ShapeArena`.
 RowId = int
-
-
-def _check_preorder(child_counts: Iterable[int]) -> None:
-    """Reject a preorder child-count run that is not exactly one tree."""
-    open_slots = 1  # nodes still expected
-    for nchildren in child_counts:
-        if open_slots == 0:
-            raise WireFormatError("malformed shape preorder: multiple roots")
-        open_slots += nchildren - 1
-    if open_slots:
-        raise WireFormatError("malformed shape preorder: missing children")
 
 
 class ShapeArena:
@@ -168,42 +151,6 @@ class ShapeArena:
         self._row_of[shape] = row
         self._cons_cache[row] = shape
         return row
-
-    def intern_preorder(self, pairs: list[tuple[int, int]]) -> RowId:
-        """Intern a shape given as preorder ``(label_id, child count)`` pairs
-        (label ids already arena-global); see :meth:`intern_preorder_flat`."""
-        flat = [value for pair in pairs for value in pair]
-        return self.intern_preorder_flat(flat, 0, len(pairs), range(len(self._labels)))
-
-    def intern_preorder_flat(self, flat, base: int, count: int, label_map) -> RowId:
-        """Intern a shape given as a slice of a flat pair-value run — the
-        zero-copy wire decode entry.
-
-        *flat* holds concatenated ``label index, child count`` values (the
-        wire shape section's decoded run); the entry's *count* pairs start at
-        ``flat[base]`` and *label_map* maps its label indices to arena label
-        ids.  The canonical encoding is assembled straight off the run, so a
-        dedup hit (the common case across a wave's frames) costs the bytes
-        assembly and one dict probe.
-        """
-        self._index_all()
-        encoded = bytearray([SHAPE_BINARY_VERSION])
-        label_enc = self._label_enc
-        end = base + 2 * count
-        for i in range(base, end, 2):
-            encoded += label_enc[label_map[flat[i]]]
-            nchildren = flat[i + 1]
-            if nchildren < 0x80:
-                encoded.append(nchildren)
-            else:
-                write_uvarint(encoded, nchildren)
-        key = bytes(encoded)
-        row = self._by_encoding.get(key)
-        if row is not None:
-            self.rows_deduped += 1
-            return row
-        _check_preorder(flat[base + 1 : end : 2])
-        return self._append_row(key)
 
     def find_cons(self, shape: Shape) -> Optional[RowId]:
         """The row id of *shape* if already interned, else ``None`` (never

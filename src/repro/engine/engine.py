@@ -496,8 +496,9 @@ class ExplorationEngine:
             raw_rows = self.store.load_guards_raw()
             if raw_rows is not None:
                 # binary rows stay undecoded until a key is probed (the decode
-                # used to dominate large-store attach); JSON rows still decode —
-                # and surface corruption — here
+                # used to dominate large-store attach); the JSON rows of
+                # stores written by earlier builds still decode — and
+                # surface corruption — here
                 for row, value in raw_rows:
                     self.guards.restore_raw(row, value)
             else:

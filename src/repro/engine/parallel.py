@@ -8,10 +8,10 @@ frontier, partitions it across the :class:`~repro.engine.workers.WorkerPool`
 — the shape interner is *sharded by shape hash*, worker ``i`` owning every
 state with ``stable_shape_hash(shape) % N == i``, so a shard's subtree shapes
 and guard evaluations accumulate in one worker's caches — and stages the
-answering **binary wire frames** (:mod:`repro.engine.wire`).  The base
-class's exploration loop is untouched: it pops states in exactly the serial
-order, and :meth:`_expand` adopts a staged payload by decoding it *at that
-moment* and interning successor shapes in candidate order.
+workers' **pickled answers** (:mod:`repro.engine.wire`).  The base class's
+exploration loop is untouched: it pops states in exactly the serial order,
+and :meth:`_expand` adopts a staged expansion by interning its successor
+shapes *at that moment*, in candidate order.
 
 That split is what makes parallel runs **bit-identical** to serial ones — a
 property the differential suite (``tests/engine/test_parallel.py``) pins per
@@ -19,7 +19,7 @@ benchgen family:
 
 * state ids are assigned by the coordinator only, in the serial engine's
   pop/candidate order (workers never intern; they return shape-table
-  references);
+  indices);
 * a genuinely new successor's canonical representative is derived *by the
   coordinator* from the parent representative with the exact incremental
   derivation the serial engine uses
@@ -31,16 +31,16 @@ benchgen family:
   feature (any frontier strategy, ``stop_on_complete``, ``step_limit``,
   store-backed resume) without new semantics.
 
-The wire protocol is what PR 4 changed: PR 3 shipped one JSON-encoded
-successor instance per candidate (the coordinator-side decode/merge being the
-Amdahl bottleneck); frames now carry a per-batch shape table — each distinct
-successor root shape once, candidates referencing it by index — and no
-representative instances at all.  Per-wave payload bytes, the shape-dedup
-hit rate and decode time are tracked and surface in ``stats["engine"]`` as
-``wire_*`` counters; ``benchmarks/run_all.py`` gates the bytes-per-candidate
-reduction against the PR 3 encoding.
+PR 3 shipped one JSON-encoded successor instance per candidate (the
+coordinator-side decode/merge being the Amdahl bottleneck); an answer now
+carries a per-batch shape table — each distinct successor root shape once,
+candidates referencing it by index — and no representative instances at
+all.  Per-wave answer bytes, the shape-dedup hit rate and decode time are
+tracked and surface in ``stats["engine"]`` as ``wire_*`` counters;
+``benchmarks/run_all.py`` gates the bytes-per-candidate reduction against
+the PR 3 encoding.
 
-Guard values flow back inside each frame.  On a store-backed engine the
+Guard values flow back inside each answer.  On a store-backed engine the
 workers additionally hydrate from and write through to the sqlite store's
 ``guards`` table (WAL journaling lets them do so concurrently with the
 coordinator); with an :class:`~repro.engine.store.InMemoryStore` the
@@ -150,7 +150,7 @@ class ParallelExplorationEngine(ExplorationEngine):
         self.wire_shape_refs = 0  # candidates received, i.e. shape-table references
         self.wire_shape_table_entries = 0  # distinct shapes actually serialised
         self.wire_decode_seconds = 0.0
-        self.worker_snapshots_merged = 0  # telemetry sections merged from frames
+        self.worker_snapshots_merged = 0  # telemetry payloads merged from answers
 
     # ------------------------------------------------------------------ #
     # pool lifecycle
@@ -173,7 +173,6 @@ class ParallelExplorationEngine(ExplorationEngine):
                 self.guarded_form,
                 self.workers,
                 store_path=self._store_path(),
-                binary_guards=getattr(self.store, "binary_guards", False),
                 telemetry_enabled=self.telemetry.enabled,
             )
         return self._pool
@@ -272,7 +271,7 @@ class ParallelExplorationEngine(ExplorationEngine):
             raise
         wave_bytes = 0
         for data in raw_frames:
-            frame = WireFrame(data)  # envelope + guard section parse
+            frame = WireFrame(data)  # unpickled on receipt
             wave_bytes += len(frame)
             self.wire_frames_received += 1
             self.wire_expansion_bytes += frame.expansion_nbytes
@@ -317,10 +316,10 @@ class ParallelExplorationEngine(ExplorationEngine):
         return super()._expand(state_id)
 
     def _adopt(self, state_id: StateId, frame: WireFrame) -> list:
-        """Turn a staged wire payload into a memoized expansion.
+        """Turn a staged worker answer into a memoized expansion.
 
-        The frame is decoded *here* (lazily, per state) and successor shapes
-        are interned in candidate order — the same moment and order the
+        The state's candidates are built *here* (lazily, per state) and
+        successor state ids are assigned in candidate order — the same moment and order the
         serial engine's ``_expand`` would intern them — which keeps the dense
         id assignment (including ids for candidates a limit later filters
         out) bit-identical to a serial run.  A successor new to the interner
@@ -343,17 +342,15 @@ class ParallelExplorationEngine(ExplorationEngine):
                     parent, parent_map, update
                 )
                 if interner.arena.intern_cons(root) != rows[shape_index]:
-                    # the arena deduplicates rows by their canonical binary
-                    # encoding, so row equality is exactly shape equality:
-                    # the worker-computed table entry and the coordinator-
-                    # derived root must land on the same row.  Inequality
-                    # means the two derivations (successor / successor_shape)
-                    # or the two intern paths (cons / wire preorder) drifted
-                    # and the graph would silently corrupt
+                    # the arena deduplicates rows by shape, so row equality
+                    # is exactly shape equality: the worker-computed table
+                    # entry and the coordinator-derived root must land on
+                    # the same row.  Inequality means the two derivations
+                    # (successor / successor_shape) drifted and the graph
+                    # would silently corrupt
                     raise AnalysisError(
                         f"wire shape for state {succ_id} does not match the "
-                        "coordinator-derived successor shape (codec or shaper "
-                        "drift)"
+                        "coordinator-derived successor shape (shaper drift)"
                     )
                 self._reps[succ_id] = successor
                 self._shape_maps[succ_id] = succ_map

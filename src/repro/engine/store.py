@@ -26,7 +26,10 @@ protocol underneath:
   hot path neither serialises per row nor touches the database for recently
   used states.  A fingerprint of the guarded form is recorded on first attach
   and verified on every later one — a store can never silently answer for the
-  wrong form.
+  wrong form.  Shape rows are written as the shape arena's canonical binary
+  encoding and guard rows in the binary term codec; the read path also
+  decodes the JSON rows that earlier builds wrote, so their stores still
+  attach and resume.
 
 Checkpoints are keyed by a digest of the exploration parameters (start
 shape, limits, strategy, early-exit flag), so several explorations — e.g.
@@ -61,7 +64,6 @@ from repro.io.serialization import (
     decode_guard_row,
     decode_shape_binary,
     decode_shape_row,
-    encode_guard_key,
     encode_guard_key_binary,
     encode_shape,
     encode_shape_binary,
@@ -270,20 +272,15 @@ class SqliteStore(SqliteBacked, StateStore):
             consistent at every resume point.
         cache_size: capacity of each of the shape and representative LRU
             read caches.
-        binary_shapes: store shape rows in the wire codec's binary framing
-            (:func:`~repro.io.serialization.encode_shape_binary`) instead of
-            JSON text.  The read path auto-detects the format per row
-            (:func:`~repro.io.serialization.decode_shape_row`), so stores
-            written by either configuration — even mixed ones — open
-            interchangeably.  Binary rows are also byte-for-byte the shape
-            arena's cached canonical encoding, so the reverse lookup degrades
-            to bytes equality — no decode at all on the hot attach path.
-        binary_guards: likewise for guard rows — keys in the wire frames'
-            tagged term codec (:func:`~repro.io.serialization.
-            encode_guard_key_binary`) instead of tagged JSON text, which
-            profiles showed dominating store-backed engine hydration.  Reads
-            auto-detect per row (:func:`~repro.io.serialization.
-            decode_guard_row`), so mixed stores open interchangeably.
+
+    Shape rows are byte for byte the shape arena's cached canonical
+    encoding (:func:`~repro.io.serialization.encode_shape_binary`), so the
+    reverse lookup is bytes equality — no decode at all on the hot attach
+    path.  Guard rows hold keys in the binary term codec
+    (:func:`~repro.io.serialization.encode_guard_key_binary`).  Reads decode
+    either format per row (:func:`~repro.io.serialization.decode_shape_row`,
+    :func:`~repro.io.serialization.decode_guard_row`), so stores holding the
+    JSON rows of earlier builds — even mixed with new rows — still open.
     """
 
     persistent = True
@@ -311,13 +308,9 @@ class SqliteStore(SqliteBacked, StateStore):
         batch_size: int = 512,
         cache_size: int = 8192,
         checkpoint_every: Optional[int] = None,
-        binary_shapes: bool = False,
-        binary_guards: bool = False,
     ) -> None:
         self.batch_size = max(1, batch_size)
         self.checkpoint_every = checkpoint_every
-        self.binary_shapes = binary_shapes
-        self.binary_guards = binary_guards
         self.shape_hash_rows_migrated = 0
         self.migration_seconds = 0.0
         self._open_sqlite(path)
@@ -424,25 +417,12 @@ class SqliteStore(SqliteBacked, StateStore):
         started = time.perf_counter()
         pending = self._pending_rows()
         if self._pending_shapes:
-            if self.binary_shapes:
-                rows = [
-                    (sid, encoded, digest)
-                    for sid, (_shape, digest, encoded) in self._pending_shapes.items()
-                ]
-            else:
-                rows = [
-                    (
-                        sid,
-                        encode_shape(
-                            shape if shape is not None else decode_shape_binary(encoded)
-                        ),
-                        digest,
-                    )
-                    for sid, (shape, digest, encoded) in self._pending_shapes.items()
-                ]
             self._conn.executemany(
                 "INSERT OR REPLACE INTO shapes (id, shape, shape_hash) VALUES (?, ?, ?)",
-                rows,
+                [
+                    (sid, encoded, digest)
+                    for sid, (_shape, digest, encoded) in self._pending_shapes.items()
+                ],
             )
             self._pending_shapes.clear()
             self._pending_by_hash.clear()
@@ -453,10 +433,12 @@ class SqliteStore(SqliteBacked, StateStore):
             )
             self._pending_reps.clear()
         if self._pending_guards:
-            encode_key = encode_guard_key_binary if self.binary_guards else encode_guard_key
             self._conn.executemany(
                 "INSERT OR REPLACE INTO guards (key, value) VALUES (?, ?)",
-                [(encode_key(key), int(value)) for key, value in self._pending_guards.items()],
+                [
+                    (encode_guard_key_binary(key), int(value))
+                    for key, value in self._pending_guards.items()
+                ],
             )
             self._pending_guards.clear()
         self._conn.commit()
@@ -726,8 +708,6 @@ class SqliteStore(SqliteBacked, StateStore):
             "backend": "sqlite",
             "persistent": True,
             "path": self.path,
-            "shape_encoding": "binary" if self.binary_shapes else "json",
-            "guard_encoding": "binary" if self.binary_guards else "json",
             "form_name": self._get_meta("form_name"),
             "form_fingerprint": self._get_meta("form_fingerprint"),
             "schema_version": self._get_meta("schema_version"),
@@ -771,32 +751,15 @@ def load_shard_shape_rows(
     return [decode_shape_row(row) for (row,) in rows]
 
 
-def load_guard_rows(path: "str | Path") -> list:
-    """All persisted guard entries of the store at *path*, decoded.
-
-    Used by frontier worker processes to hydrate their local guard caches
-    from the coordinator's store through their own (short-lived, read-only)
-    connection; an empty or yet-uncreated store yields no rows.
-    """
-    try:
-        conn = sqlite3.connect(str(path))
-        try:
-            conn.execute(f"PRAGMA busy_timeout={_BUSY_TIMEOUT_MS}")
-            rows = conn.execute("SELECT key, value FROM guards").fetchall()
-        finally:
-            conn.close()
-    except sqlite3.Error:
-        return []
-    return [(decode_guard_row(row), bool(value)) for row, value in rows]
-
-
 def load_guard_rows_raw(path: "str | Path") -> list:
     """All persisted guard entries of the store at *path*, **undecoded**.
 
-    The raw variant of :func:`load_guard_rows`: worker processes seed their
-    guard caches through :meth:`~repro.engine.guards.GuardCache.restore_raw`,
-    so binary rows are only decoded (in fact, only *matched*, by canonical
-    encoding) when the worker actually probes the key.
+    Frontier worker processes hydrate their local guard caches from the
+    coordinator's store through this short-lived read-only connection; an
+    empty or yet-uncreated store yields no rows.  The rows seed
+    :meth:`~repro.engine.guards.GuardCache.restore_raw`, so binary rows are
+    only decoded (in fact, only *matched*, by canonical encoding) when the
+    worker actually probes the key.
     """
     try:
         conn = sqlite3.connect(str(path))
@@ -810,29 +773,26 @@ def load_guard_rows_raw(path: "str | Path") -> list:
     return [(row, bool(value)) for row, value in rows]
 
 
-def write_guard_rows(path: "str | Path", entries: list, binary: bool = False) -> None:
+def write_guard_rows(path: "str | Path", entries: list) -> None:
     """Write worker-evaluated guard entries into the store at *path*.
 
-    One short transaction through the WAL per batch; rows are keyed, so
-    concurrent writers replaying the same evaluation are idempotent.
-    *binary* selects the row codec and must match the owning store's
-    ``binary_guards`` configuration (mixed rows still read back fine — the
-    read path auto-detects — but matching keeps the keyed idempotence).
-    Sync failures (e.g. a reader holding the database exclusively past the
-    busy timeout) are swallowed: the entries also travel back to the
-    coordinator in the worker's result message, so losing the write-through
-    costs at most a re-evaluation in a later process.
+    One short transaction through the WAL per batch; rows are keyed by the
+    same binary encoding :meth:`SqliteStore.flush` writes, so concurrent
+    writers replaying the same evaluation are idempotent.  Sync failures
+    (e.g. a reader holding the database exclusively past the busy timeout)
+    are swallowed: the entries also travel back to the coordinator in the
+    worker's answer, so losing the write-through costs at most a
+    re-evaluation in a later process.
     """
     if not entries:
         return
-    encode_key = encode_guard_key_binary if binary else encode_guard_key
     try:
         conn = sqlite3.connect(str(path))
         try:
             conn.execute(f"PRAGMA busy_timeout={_BUSY_TIMEOUT_MS}")
             conn.executemany(
                 "INSERT OR REPLACE INTO guards (key, value) VALUES (?, ?)",
-                [(encode_key(key), int(value)) for key, value in entries],
+                [(encode_guard_key_binary(key), int(value)) for key, value in entries],
             )
             conn.commit()
         finally:

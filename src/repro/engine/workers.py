@@ -8,16 +8,16 @@ shard ``stable_shape_hash(shape) % N``, so the subtree shapes and guard
 values of a shard accumulate in that worker's local caches across waves —
 and every worker answers one batch with one message:
 
-``(worker index, wave id, binary wire frame, error)``
+``(worker index, wave id, pickled answer, error)``
 
-The frame (:mod:`repro.engine.wire`) packs each state's expansion payload —
-per candidate the update, a reference into the frame's **per-batch shape
-table** (each distinct successor root shape serialised once), the addition
-flag, the successor size and the pre-update sibling-copy count.  Successor
-representatives are *not* shipped: the coordinator owns the parent
-representative it sent with the task and derives a genuinely-new successor's
-representative itself, with the same incremental derivation the serial
-engine uses — node id for node id.
+The answer (:mod:`repro.engine.wire`) holds each state's expansion — per
+candidate the update, an index into the answer's **per-batch shape table**
+(each distinct successor root shape listed once), the successor size and
+the pre-update sibling-copy count.  Successor representatives are *not*
+shipped: the coordinator owns the parent representative it sent with the
+task and derives a genuinely-new successor's representative itself, with
+the same incremental derivation the serial engine uses — node id for node
+id.
 
 Workers never intern canonical state ids: interning order determines the
 engine's dense id assignment, and keeping it on the coordinator (which merges
@@ -29,7 +29,7 @@ worker residency scales with the shard, never the whole table.  What
 workers *do* share is guard evaluations: each worker keeps a
 :class:`~repro.engine.guards.GuardCache` keyed identically to the
 coordinator's (states are addressed by their canonical ids, shipped with the
-task), returns the entries it evaluated in its result batches, and — when the
+task), returns the entries it evaluated in its answers, and — when the
 exploration is backed by an on-disk :class:`~repro.engine.store.SqliteStore`
 — hydrates from and writes back to the store's ``guards`` table through the
 sqlite WAL (see :func:`load_guard_rows_raw` / :func:`write_guard_rows` in
@@ -106,7 +106,6 @@ class FrontierWorker:
         store_path: Optional[str] = None,
         shard: Optional[int] = None,
         nshards: Optional[int] = None,
-        binary_guards: bool = False,
         telemetry=None,
     ) -> None:
         self._form = guarded_form
@@ -116,7 +115,6 @@ class FrontierWorker:
         self.telemetry = telemetry if telemetry is not None else NO_TELEMETRY
         self._guards = GuardCache(guarded_form, store=self._journal, telemetry=self.telemetry)
         self._store_path = store_path
-        self._binary_guards = binary_guards
         #: Persisted shapes pre-consed into this worker's local interner —
         #: only its own ``stable_shape_hash % nshards`` slice (capped at
         #: :data:`SHARD_HYDRATION_LIMIT`), never the whole table, so worker
@@ -138,8 +136,8 @@ class FrontierWorker:
         """Expansion payload for one state: ``(candidates, queries)``.
 
         Candidates are raw ``(update, root shape, is_addition, successor
-        size, copies)`` tuples — the frame encoder interns the root shapes
-        into the batch's shape table.
+        size, copies)`` tuples — the answer encoder lists each distinct root
+        shape once in the batch's shape table.
         """
         instance = decode_instance_with_ids(blob, self._form.schema)
         shape_map = self._shaper.full_map(instance)
@@ -156,13 +154,13 @@ class FrontierWorker:
         return (candidates, guards.hits + guards.misses - queries_before)
 
     def run_batch(self, batch: list) -> bytes:
-        """Expand one task batch into one binary wire frame.
+        """Expand one task batch into one pickled answer.
 
         Newly evaluated guard entries are drained from the journal, written
         through to the store's WAL (when one backs the exploration) and
-        packed into the frame so the coordinator can merge them either way.
+        packed into the answer so the coordinator can merge them either way.
         With telemetry enabled the batch's spans and metric deltas ride in
-        the frame's telemetry section for the coordinator to merge.
+        the answer for the coordinator to merge.
         """
         obs = self.telemetry
         batch_started = obs.now()
@@ -174,10 +172,10 @@ class FrontierWorker:
         if entries and self._store_path is not None:
             if obs.enabled:
                 write_started = obs.now()
-                write_guard_rows(self._store_path, entries, binary=self._binary_guards)
+                write_guard_rows(self._store_path, entries)
                 obs.end_span("worker.write_guard_rows", write_started, rows=len(entries))
             else:
-                write_guard_rows(self._store_path, entries, binary=self._binary_guards)
+                write_guard_rows(self._store_path, entries)
         encoder.add_guard_entries(entries)
         if obs.enabled:
             obs.end_span(
@@ -202,7 +200,6 @@ def worker_main(
     results,
     store_path,
     nshards=None,
-    binary_guards=False,
     telemetry_enabled=False,
 ) -> None:
     """Entry point of one worker process: loop over task batches until told
@@ -216,7 +213,7 @@ def worker_main(
 
     With ``telemetry_enabled`` the worker builds its own
     :class:`~repro.obs.Telemetry` (real pid, process name
-    ``frontier-worker-<index>``) whose spans and metric deltas each frame
+    ``frontier-worker-<index>``) whose spans and metric deltas each answer
     ships back for the coordinator's cross-process merge.
     """
     telemetry = Telemetry(process=f"frontier-worker-{index}") if telemetry_enabled else None
@@ -226,7 +223,6 @@ def worker_main(
             store_path,
             shard=index,
             nshards=nshards,
-            binary_guards=binary_guards,
             telemetry=telemetry,
         )
     except BaseException:  # noqa: BLE001 - report startup failures, don't hang the pool
@@ -259,7 +255,6 @@ class WorkerPool:
         guarded_form: GuardedForm,
         workers: int,
         store_path: Optional[str] = None,
-        binary_guards: bool = False,
         telemetry_enabled: bool = False,
     ) -> None:
         if workers < 1:
@@ -279,7 +274,6 @@ class WorkerPool:
                     self._results,
                     store_path,
                     workers,
-                    binary_guards,
                     telemetry_enabled,
                 ),
                 daemon=True,
@@ -304,9 +298,9 @@ class WorkerPool:
                 only non-empty batches are dispatched.
 
         Returns:
-            The binary wire frames answering this wave, one per dispatched
-            worker (in arrival order; the coordinator stages per state id, so
-            frame order is irrelevant).
+            The pickled answers to this wave, one per dispatched worker (in
+            arrival order; the coordinator stages per state id, so answer
+            order is irrelevant).
 
         Raises:
             AnalysisError: when a worker reports an exception or dies.

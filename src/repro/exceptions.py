@@ -68,8 +68,9 @@ class SerializationError(ReproError):
 
 
 class WireFormatError(SerializationError):
-    """A binary wire frame is unusable: truncated, corrupt, carrying an
-    unknown version byte, or inconsistent with its own length framing."""
+    """Encoded engine data is unusable: a worker answer that is truncated or
+    malformed, or a binary store row that is truncated, corrupt or carries
+    an unknown version byte."""
 
 
 class StoreError(ReproError):

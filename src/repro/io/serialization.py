@@ -9,28 +9,26 @@ Besides the user-facing form format, this module provides the compact codecs
 the persistent :mod:`repro.engine.store` backends use for their rows:
 
 * :func:`encode_shape` / :func:`decode_shape` — isomorphism-invariant tree
-  shapes as nested JSON arrays;
+  shapes as nested JSON arrays (checkpoint keys, and the shape rows of
+  stores written by earlier builds);
 * :func:`encode_instance_with_ids` / :func:`decode_instance_with_ids` —
   canonical representative instances *including their node identifiers* (the
   engine records transitions against representative node ids, so a resumed
   exploration must rebuild representatives id-for-id);
-* :func:`encode_guard_key` / :func:`decode_guard_key` — the heterogeneous
-  tuple keys of the guard cache (tuples, frozensets, shapes, ints, strings)
-  as deterministic tagged JSON — plus the **binary guard rows**
-  (:func:`encode_guard_key_binary` / :func:`decode_guard_key_binary` /
-  :func:`decode_guard_row`, auto-detecting either format) built on the wire
-  frames' tagged term codec (:func:`write_term` / :func:`read_term`), which
-  profiles showed ~30× cheaper to decode than the JSON rows during
-  store-backed engine hydration;
-* the **binary shape framing** shared with the parallel wire codec
-  (:mod:`repro.engine.wire`): :func:`write_uvarint` / :func:`read_uvarint`
-  and :func:`write_str` / :func:`read_str` primitives, the recursive
-  :func:`write_shape` / :func:`read_shape` framing, and the store-row codec
-  :func:`encode_shape_binary` / :func:`decode_shape_binary` /
-  :func:`decode_shape_row` (auto-detecting JSON text vs. binary rows, so a
-  :class:`~repro.engine.store.SqliteStore` can hold either format), plus
-  :func:`stable_shape_hash`, the process-stable CRC digest shared by the
-  parallel engine's worker sharding and the store's ``shape_hash``
+* the **binary guard rows** (:func:`encode_guard_key_binary` /
+  :func:`decode_guard_key_binary`), built on a tagged term codec
+  (:func:`write_term` / :func:`read_term`) for the heterogeneous tuple keys
+  of the guard cache (tuples, frozensets, shapes, ints, strings);
+  :func:`decode_guard_row` also reads the tagged-JSON rows
+  (:func:`encode_guard_key` / :func:`decode_guard_key`) that earlier builds
+  wrote;
+* the **binary shape rows** (:func:`encode_shape_binary` /
+  :func:`decode_shape_binary`) — byte for byte the shape arena's canonical
+  encoding — over the :func:`write_uvarint` / :func:`read_uvarint` and
+  :func:`write_str` / :func:`read_str` primitives; :func:`decode_shape_row`
+  also reads JSON shape rows, so stores written by earlier builds still
+  open; plus :func:`stable_shape_hash`, the process-stable CRC digest shared
+  by the parallel engine's worker sharding and the store's ``shape_hash``
   reverse-lookup column;
 * :func:`encode_update` / :func:`decode_update` — the leaf additions and
   deletions stored in exploration checkpoints;
@@ -277,7 +275,7 @@ def decode_guard_key(text: str) -> tuple:
 
 
 # --------------------------------------------------------------------------- #
-# binary guard-key term codec (shared with the parallel wire codec)
+# binary guard-key term codec
 # --------------------------------------------------------------------------- #
 
 # Tag bytes of the guard-key term codec.
@@ -362,175 +360,6 @@ def read_term(data: bytes, pos: int) -> tuple:
     raise WireFormatError(f"unknown guard-key term tag {tag}")
 
 
-#: Extra tags used only inside wire frames (never in store rows):
-#: ``_TERM_LABEL_REF`` ships a string as an index into the guard section's
-#: string table instead of inline UTF-8; ``_TERM_REF`` ships a whole
-#: composite term (tuple/frozenset) as an index into the section's term
-#: table — guard keys repeat rule-path tuples and subtree shapes heavily, so
-#: both tables cut guard bytes and guard decode time together.
-#: :func:`read_term` rejects both tags, keeping store rows self-contained.
-_TERM_LABEL_REF = 7
-_TERM_REF = 8
-
-
-def write_term_interned(out: bytearray, term, label_ref, term_refs: dict) -> None:
-    """:func:`write_term`, with strings and composite terms interned.
-
-    *label_ref* maps a string to its index in a shared string table,
-    appending it on first use.  *term_refs* maps the **canonical**
-    (:func:`write_term`) encoding of every tuple/frozenset already written
-    structurally to its sequential ref id — repeats ship as a one-varint
-    :data:`_TERM_REF`.  Keys are canonical encodings, not the terms
-    themselves, because term equality is too coarse (``(1,) == (True,)``)
-    while the codec must preserve bool vs int exactly.  Ref ids are assigned
-    in completion (post-)order, which is exactly the order
-    :func:`read_guard_entries` closes containers in.  Frozensets are ordered
-    by their canonical encodings, so the emitted bytes do not depend on set
-    iteration order.
-    """
-    if term is None:
-        out.append(_TERM_NONE)
-    elif term is True:
-        out.append(_TERM_TRUE)
-    elif term is False:
-        out.append(_TERM_FALSE)
-    elif isinstance(term, int):
-        out.append(_TERM_INT)
-        write_uvarint(out, (term << 1) if term >= 0 else ((-term) << 1) - 1)
-    elif isinstance(term, str):
-        out.append(_TERM_LABEL_REF)
-        write_uvarint(out, label_ref(term))
-    elif isinstance(term, (tuple, frozenset)):
-        canonical = bytearray()
-        write_term(canonical, term)
-        key = bytes(canonical)
-        ref = term_refs.get(key)
-        if ref is not None:
-            out.append(_TERM_REF)
-            write_uvarint(out, ref)
-            return
-        if isinstance(term, tuple):
-            out.append(_TERM_TUPLE)
-            write_uvarint(out, len(term))
-            for item in term:
-                write_term_interned(out, item, label_ref, term_refs)
-        else:
-            out.append(_TERM_FROZENSET)
-            write_uvarint(out, len(term))
-            ordered = []
-            for item in term:
-                item_canonical = bytearray()
-                write_term(item_canonical, item)
-                ordered.append((bytes(item_canonical), item))
-            for _canonical, item in sorted(ordered, key=lambda pair: pair[0]):
-                write_term_interned(out, item, label_ref, term_refs)
-        term_refs[key] = len(term_refs)
-    else:
-        raise WireFormatError(f"unsupported guard-key term {term!r}")
-
-
-def read_guard_entries(data, pos: int, count: int, labels) -> tuple[list, int]:
-    """Batch-decode *count* wire guard entries (interned term + value byte).
-
-    This is the coordinator's guard-section hot path: one iterative decoder
-    with an explicit container stack replaces a recursive :func:`read_term`
-    call per term (profiles showed the recursion dominating frame decode on
-    guard-heavy workloads).  String terms arrive as :data:`_TERM_LABEL_REF`
-    indices into *labels* (the guard section's string table), so each
-    distinct string is decoded once per frame no matter how many keys
-    mention it.
-
-    Composite terms decode into a per-call term table in the same completion
-    order :func:`write_term_interned` assigned ref ids, so a
-    :data:`_TERM_REF` resolves to the *same object* every time it repeats —
-    repeated path tuples and subtree shapes are built once per frame.
-
-    Returns ``([(key tuple, bool), ...], new pos)``.
-    """
-    entries = []
-    terms: list = []  # composite terms in completion order (= encoder ref ids)
-    size = len(data)
-    label_count = len(labels)
-    for _ in range(count):
-        stack: list = []  # [tag, remaining, items] frames for open containers
-        while True:
-            if pos >= size:
-                raise WireFormatError("truncated guard-key term")
-            tag = data[pos]
-            pos += 1
-            if tag == _TERM_LABEL_REF:
-                if pos < size and data[pos] < 0x80:
-                    index = data[pos]
-                    pos += 1
-                else:
-                    index, pos = read_uvarint(data, pos)
-                if index >= label_count:
-                    raise WireFormatError(
-                        f"guard term references label {index}, table has {label_count}"
-                    )
-                value = labels[index]
-            elif tag == _TERM_REF:
-                if pos < size and data[pos] < 0x80:
-                    index = data[pos]
-                    pos += 1
-                else:
-                    index, pos = read_uvarint(data, pos)
-                if index >= len(terms):
-                    raise WireFormatError(
-                        f"guard term references term {index}, table has {len(terms)}"
-                    )
-                value = terms[index]
-            elif tag == _TERM_TUPLE or tag == _TERM_FROZENSET:
-                if pos < size and data[pos] < 0x80:
-                    need = data[pos]
-                    pos += 1
-                else:
-                    need, pos = read_uvarint(data, pos)
-                if need:
-                    stack.append([tag, need, []])
-                    continue
-                value = () if tag == _TERM_TUPLE else frozenset()
-                terms.append(value)
-            elif tag == _TERM_INT:
-                raw, pos = read_uvarint(data, pos)
-                value = (raw >> 1) ^ -(raw & 1)
-            elif tag == _TERM_STR:
-                value, pos = read_str(data, pos)
-            elif tag == _TERM_NONE:
-                value = None
-            elif tag == _TERM_TRUE:
-                value = True
-            elif tag == _TERM_FALSE:
-                value = False
-            else:
-                raise WireFormatError(f"unknown guard-key term tag {tag}")
-            # feed the completed value into the innermost open container,
-            # closing containers (and feeding them upward) as they fill
-            closed = True
-            while stack:
-                frame = stack[-1]
-                frame[2].append(value)
-                frame[1] -= 1
-                if frame[1]:
-                    closed = False
-                    break
-                stack.pop()
-                value = tuple(frame[2]) if frame[0] == _TERM_TUPLE else frozenset(frame[2])
-                terms.append(value)
-            if closed:
-                break
-        if not isinstance(value, tuple):
-            raise WireFormatError(f"guard key decoded to {type(value).__name__}, not tuple")
-        if pos >= size:
-            raise WireFormatError("truncated guard value byte")
-        flag = data[pos]
-        pos += 1
-        if flag > 1:
-            raise WireFormatError(f"guard value byte must be 0 or 1, got {flag}")
-        entries.append((value, flag == 1))
-    return entries, pos
-
-
 #: Leading byte of a binary guard row; bumped on layout changes.  JSON guard
 #: rows always start with ``[`` (0x5B), so both formats also stay
 #: distinguishable by content, not just by sqlite column type.
@@ -540,9 +369,9 @@ GUARD_BINARY_VERSION = 1
 def encode_guard_key_binary(key: tuple) -> bytes:
     """Binary store-row encoding of a guard-cache key (version byte + term).
 
-    The term codec is the wire frames' — far cheaper to decode than the
-    tagged-JSON rows, which profiles showed dominating store-backed engine
-    hydration.  Equal keys encode identically (frozensets order-normalised by
+    Far cheaper to decode than the tagged-JSON rows earlier builds wrote,
+    which profiles showed dominating store-backed engine hydration.  Equal
+    keys encode identically (frozensets order-normalised by
     encoded bytes), so the encoding can serve as a primary key.
     """
     out = bytearray([GUARD_BINARY_VERSION])
@@ -570,8 +399,8 @@ def decode_guard_key_binary(data: bytes) -> tuple:
 def decode_guard_row(row: "str | bytes") -> tuple:
     """Decode a store guard-key row in either format (JSON text or binary).
 
-    Mirrors :func:`decode_shape_row`: the sqlite store writes whichever
-    format it was configured with, the read path accepts both per row.
+    Mirrors :func:`decode_shape_row`: the sqlite store writes binary rows,
+    and the read path also accepts the JSON rows of earlier builds.
     """
     if isinstance(row, (bytes, bytearray, memoryview)):
         return decode_guard_key_binary(bytes(row))
@@ -579,7 +408,7 @@ def decode_guard_row(row: "str | bytes") -> tuple:
 
 
 # --------------------------------------------------------------------------- #
-# binary shape framing (shared with the parallel wire codec)
+# binary shape framing
 # --------------------------------------------------------------------------- #
 
 #: Leading byte of a binary shape row; bumped on layout changes.  JSON shape
@@ -617,49 +446,6 @@ def read_uvarint(data: bytes, pos: int) -> tuple[int, int]:
         shift += 7
 
 
-_U64_MAX = (1 << 64) - 1
-
-
-def decode_uvarint_run(data, pos: int, count: int) -> tuple[list, int]:
-    """Decode *count* LEB128 varints starting at *pos* in one batched loop.
-
-    Returns ``(values, new pos)``.  Single-byte varints (the overwhelming
-    majority on real frames) take the one-comparison fast path; multi-byte
-    continuations fall into the generic loop.
-
-    Raises:
-        WireFormatError: truncation mid-value, or a value exceeding 64 bits
-            (far above any legitimate node id, table index, length or count).
-    """
-    out: list = []
-    append = out.append
-    size = len(data)
-    for _ in range(count):
-        if pos >= size:
-            raise WireFormatError("truncated varint run: buffer ended mid-value")
-        byte = data[pos]
-        pos += 1
-        if byte < 0x80:
-            append(byte)
-            continue
-        value = byte & 0x7F
-        shift = 7
-        while True:
-            if pos >= size:
-                raise WireFormatError("truncated varint run: buffer ended mid-value")
-            byte = data[pos]
-            pos += 1
-            bits = byte & 0x7F
-            if shift >= 64 or bits > (_U64_MAX >> shift):
-                raise WireFormatError("varint overflow: value exceeds 64 bits")
-            value |= bits << shift
-            if byte < 0x80:
-                break
-            shift += 7
-        append(value)
-    return out, pos
-
-
 def write_str(out: bytearray, text: str) -> None:
     """Append a length-prefixed UTF-8 string."""
     encoded = text.encode("utf-8")
@@ -690,23 +476,15 @@ def write_shape(out: bytearray, shape: Shape) -> None:
         write_shape(out, child)
 
 
-def read_shape(data: bytes, pos: int, cons=None) -> tuple[Shape, int]:
-    """Read one binary-framed shape at *pos*; return ``(shape, new pos)``.
-
-    Args:
-        cons: optional hash-consing function applied **bottom-up** — to every
-            decoded subtree, not just the root — so a consumer sharing the
-            engine's interner gets back canonical subtree objects with the
-            identity-short-circuit equality the interner's invariant promises.
-    """
+def read_shape(data: bytes, pos: int) -> tuple[Shape, int]:
+    """Read one binary-framed shape at *pos*; return ``(shape, new pos)``."""
     label, pos = read_str(data, pos)
     count, pos = read_uvarint(data, pos)
     children = []
     for _ in range(count):
-        child, pos = read_shape(data, pos, cons)
+        child, pos = read_shape(data, pos)
         children.append(child)
-    shape: Shape = (label, tuple(children))
-    return (cons(shape) if cons is not None else shape), pos
+    return (label, tuple(children)), pos
 
 
 def encode_shape_binary(shape: Shape) -> bytes:
@@ -736,9 +514,8 @@ def decode_shape_binary(data: bytes) -> Shape:
 def decode_shape_row(row: "str | bytes") -> Shape:
     """Decode a store shape row in either format (JSON text or binary).
 
-    The sqlite store writes whichever format it was configured with, but its
-    read path accepts both, so stores written by older (JSON-only) builds and
-    binary-row stores are interchangeable.
+    The sqlite store writes binary rows; JSON text rows come from stores
+    written by earlier builds, which therefore still open.
     """
     if isinstance(row, (bytes, bytearray, memoryview)):
         return decode_shape_binary(bytes(row))

@@ -6,7 +6,7 @@ as complete (``ph: "X"``) events with microsecond ``ts``/``dur`` taken
 from ``time.monotonic()`` — on Linux that is ``CLOCK_MONOTONIC``, which
 is boot-relative and therefore *comparable across processes on one
 machine*: frontier workers stamp their spans with their own clock and
-real ``os.getpid()``, ship them back inside wire frames, and the
+real ``os.getpid()``, ship them back inside their batch answers, and the
 coordinator's merge produces a single timeline Perfetto renders with one
 track per process.
 
@@ -275,7 +275,7 @@ class Telemetry:
     # -- cross-process aggregation ------------------------------------
 
     def export_payload(self, drain: bool = True) -> Dict[str, object]:
-        """JSON-safe payload for the wire-frame telemetry section.
+        """JSON-safe payload for the telemetry part of a worker answer.
 
         With ``drain`` (the default — one export per worker batch) the
         event buffer empties and counters/histograms reset to deltas; see

@@ -142,7 +142,9 @@ class PodServer:
 
     def start(self) -> None:
         """Bind the HTTP server and start the worker and watchdog threads."""
-        handler = type("PodHandler", (_PodHandler,), {"pod": self})
+        handler = type(
+            "PodHandler", (_PodHandler,), {"pod": self, "timeout": SOCKET_TIMEOUT_SECONDS}
+        )
         self._httpd = ThreadingHTTPServer(
             (self.config.host, self.config.port), handler
         )
@@ -497,6 +499,11 @@ def _check_store_name(name: str) -> None:
 #: Largest request body the pod accepts, in bytes.  A longer declared
 #: ``Content-Length`` is refused with 413 before any of the body is read.
 MAX_REQUEST_BYTES = 1 << 20
+
+#: Seconds a connection may sit idle mid-request (or between keep-alive
+#: requests) before the pod drops it, so a client that stops sending
+#: cannot hold a server thread forever.
+SOCKET_TIMEOUT_SECONDS = 30.0
 
 
 class _PodHandler(BaseHTTPRequestHandler):

@@ -1,19 +1,16 @@
-"""Hypothesis properties of the flat shape arena and the varint-run decoder.
+"""Hypothesis properties of the flat shape arena and the varint codec.
 
-Four contracts pinned over arbitrary shapes and varint runs:
+Three contracts pinned over arbitrary shapes and varint runs:
 
 * **arena round trips** — interning a cons shape into a
   :class:`~repro.engine.arena.ShapeArena` and materialising it back
-  (``cons_of``) is the identity; interning the same shape twice (or via the
-  preorder wire path) lands on the same deduplicated row; the arena's cached
-  row encoding and digest equal :func:`encode_shape_binary` /
-  :func:`stable_shape_hash` byte for byte;
-* **varint runs** — :func:`decode_uvarint_run` returns the values written
-  and their end position, and on arbitrary buffers rejects exactly what a
-  loop of single-value reads bounded at 64 bits rejects; the arena digest
-  is :func:`zlib.crc32` of the canonical encoding;
-* **rejection** — malformed preorder streams (multiple roots, missing
-  children) never build a row silently;
+  (``cons_of``) is the identity; interning the same shape twice lands on
+  the same deduplicated row; the arena's cached row encoding and digest
+  equal :func:`encode_shape_binary` / :func:`stable_shape_hash` byte for
+  byte;
+* **varints** — :func:`read_uvarint` returns the values
+  :func:`write_uvarint` wrote and their end position; the arena digest is
+  :func:`zlib.crc32` of the canonical encoding;
 * **deferred encoding** — rows interned as tuples are encoded on first use,
   yet any interleaving of interning, encoding, hashing and memo drops gives
   the row ids, encodings and digests of an arena that encodes eagerly.
@@ -25,14 +22,11 @@ from __future__ import annotations
 
 import zlib
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.engine.arena import ShapeArena
-from repro.exceptions import WireFormatError
 from repro.io.serialization import (
-    decode_uvarint_run,
     encode_shape_binary,
     read_uvarint,
     stable_shape_hash,
@@ -50,19 +44,9 @@ shapes = st.recursive(
 )
 
 uvarint_values = st.one_of(
-    st.integers(min_value=0, max_value=127),  # the single-byte fast path
+    st.integers(min_value=0, max_value=127),  # single-byte varints
     st.integers(min_value=0, max_value=(1 << 64) - 1),
 )
-
-def preorder_pairs(arena, shape):
-    """Preorder ``(label_id, child count)`` pairs — the wire decode input."""
-    pairs = []
-    stack = [shape]
-    while stack:
-        label, children = stack.pop()
-        pairs.append((arena.label_id(label), len(children)))
-        stack.extend(reversed(children))
-    return pairs
 
 
 class TestArenaRoundTrip:
@@ -73,12 +57,6 @@ class TestArenaRoundTrip:
         assert arena.cons_of(row) == shape
         assert arena.intern_cons(shape) == row
         assert arena.find_cons(shape) == row
-
-    @given(shapes)
-    def test_preorder_and_cons_paths_share_rows(self, shape):
-        arena = ShapeArena()
-        row = arena.intern_cons(shape)
-        assert arena.intern_preorder(preorder_pairs(arena, shape)) == row
 
     @given(st.lists(shapes, min_size=1, max_size=8))
     def test_distinct_shapes_get_distinct_rows(self, batch):
@@ -110,30 +88,11 @@ class TestArenaRoundTrip:
         row = arena.intern_cons(shape)
         assert arena.node_count(row) == count(shape)
 
-    @given(st.lists(shapes, min_size=2, max_size=4, unique=True))
-    def test_forests_are_rejected(self, batch):
-        arena = ShapeArena()
-        pairs = []
-        for shape in batch:
-            pairs.extend(preorder_pairs(arena, shape))
-        with pytest.raises(WireFormatError):
-            arena.intern_preorder(pairs)
-
-    @given(shapes)
-    def test_truncated_preorder_is_rejected(self, shape):
-        arena = ShapeArena()
-        pairs = preorder_pairs(arena, shape)
-        label, count = pairs[-1]
-        pairs[-1] = (label, count + 1)  # promises a child that never arrives
-        with pytest.raises(WireFormatError):
-            arena.intern_preorder(pairs)
-
-
 #: One step of an arena workload: an operation and the index of the shape
 #: (or row) it applies to, taken modulo what exists when it runs.
 arena_ops = st.tuples(
     st.sampled_from(
-        ["intern_cons", "intern_preorder", "find_cons", "encoded", "stable_hash", "drop", "cons_of"]
+        ["intern_cons", "find_cons", "encoded", "stable_hash", "drop", "cons_of"]
     ),
     st.integers(min_value=0, max_value=63),
 )
@@ -147,11 +106,8 @@ class TestDeferredEncoding:
         rows: list = []  # row -> shape
         for op, index in ops:
             shape = pool[index % len(pool)]
-            if op in ("intern_cons", "intern_preorder"):
-                if op == "intern_cons":
-                    row = arena.intern_cons(shape)
-                else:
-                    row = arena.intern_preorder(preorder_pairs(arena, shape))
+            if op == "intern_cons":
+                row = arena.intern_cons(shape)
                 expected = reference.setdefault(shape, len(rows))
                 if expected == len(rows):
                     rows.append(shape)
@@ -183,31 +139,11 @@ class TestCodecParity:
         for value in values:
             write_uvarint(buffer, value)
         data = bytes(buffer) + trailing
-        assert decode_uvarint_run(data, 0, len(values)) == (values, len(buffer))
-
-    @given(st.binary(max_size=64), st.integers(min_value=0, max_value=16))
-    def test_arbitrary_buffers_agree_on_rejection(self, data, count):
-        def one_at_a_time():
-            decoded, pos = [], 0
-            for _ in range(count):
-                value, end = read_uvarint(data, pos)
-                # the run decoder's 64-bit bound: at most ten bytes, and a
-                # value below 2**64
-                if end - pos > 10 or value >> 64:
-                    raise WireFormatError("varint overflow")
-                decoded.append(value)
-                pos = end
-            return decoded, pos
-
-        def outcome(decode):
-            try:
-                return decode()
-            except WireFormatError:
-                return "rejected"
-
-        assert outcome(lambda: decode_uvarint_run(data, 0, count)) == outcome(
-            one_at_a_time
-        )
+        decoded, pos = [], 0
+        for _ in values:
+            value, pos = read_uvarint(data, pos)
+            decoded.append(value)
+        assert (decoded, pos) == (values, len(buffer))
 
     @given(shapes)
     def test_stable_hash_is_crc_of_the_canonical_encoding(self, shape):

@@ -1,22 +1,22 @@
-"""Hypothesis properties of the binary wire codec (:mod:`repro.engine.wire`).
+"""Hypothesis properties of the worker answers (:mod:`repro.engine.wire`).
 
-The codec's contract, pinned here over arbitrary shapes, guard keys and
-candidate lists:
+The contract, pinned here over arbitrary shapes, guard keys and candidate
+lists:
 
 * **round trips** — whatever a :class:`FrameEncoder` packs, a
-  :class:`WireFrame` decodes back structurally identical: guard entries,
-  state payloads (updates, flags, sizes), and shape-table references that
-  resolve to the original root shapes, with each distinct shape serialised
-  exactly once per frame;
-* **rejection** — every strict prefix of a frame, any trailing garbage, a
-  flipped magic, and an unknown version byte raise
-  :class:`~repro.exceptions.WireFormatError` (no partial decodes, no
-  silently-wrong payloads);
-* the **binary shape rows** shared with the store
-  (:func:`encode_shape_binary` / :func:`decode_shape_binary` /
-  :func:`decode_shape_row`) agree with the JSON shape codec, auto-detect
-  both formats, and survive an actual ``SqliteStore`` write/read in either
-  configuration.
+  :class:`WireFrame` reads back structurally identical: guard entries,
+  state payloads (updates, flags, sizes), and shape-table indices that
+  resolve to the original root shapes, with each distinct shape listed
+  exactly once per answer;
+* **rejection** — every strict prefix of an answer, any trailing garbage,
+  and each malformed answer (telemetry that is not a dict, a candidate of
+  unknown layout, a shape index outside the table, a state the answer does
+  not carry) raise :class:`~repro.exceptions.WireFormatError` (no partial
+  decodes, no silently-wrong payloads);
+* the store's **binary rows**: the guard-key term codec round-trips, the
+  binary shape rows agree with the JSON shape codec, and an actual
+  ``SqliteStore`` reads its own binary rows mixed with the JSON rows that
+  earlier builds wrote.
 
 The dedicated CI job runs this module with ``--hypothesis-profile=ci`` (a
 raised example budget registered in ``tests/conftest.py``).
@@ -24,6 +24,9 @@ raised example budget registered in ``tests/conftest.py``).
 
 from __future__ import annotations
 
+import io
+import pickle
+import sqlite3
 import tempfile
 from pathlib import Path
 
@@ -32,15 +35,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.guarded_form import Addition, Deletion
+from repro.engine.arena import ShapeArena
 from repro.engine.store import SqliteStore
-from repro.engine.wire import (
-    WIRE_MAGIC,
-    WIRE_VERSION,
-    FrameEncoder,
-    WireFrame,
-    read_term,
-    write_term,
-)
+from repro.engine.wire import FrameEncoder, WireFrame
 from repro.exceptions import WireFormatError
 from repro.io.serialization import (
     decode_shape,
@@ -48,6 +45,8 @@ from repro.io.serialization import (
     decode_shape_row,
     encode_shape,
     encode_shape_binary,
+    read_term,
+    write_term,
 )
 
 labels = st.text(
@@ -115,7 +114,8 @@ class TestFrameRoundTrip:
         frame = WireFrame(data)
         assert frame.guard_entries == guards
         assert frame.state_ids() == list(states)
-        table = frame.shape_table()
+        arena = ShapeArena()
+        table = [arena.cons_of(row) for row in frame.shape_rows(arena)]
         expected_shapes = []
         for state_id, (cands, queries) in states.items():
             decoded, decoded_queries = frame.expansion(state_id)
@@ -137,35 +137,21 @@ class TestFrameRoundTrip:
                 assert (got_size, got_copies) == (size, copies)
                 if shape not in expected_shapes:
                     expected_shapes.append(shape)
-        # per-batch dedup: each distinct shape is serialised exactly once
+        # per-batch dedup: each distinct shape is listed exactly once
         assert table == expected_shapes
         assert frame.shape_count == len(expected_shapes)
         assert frame.total_candidates == sum(len(c) for c, _ in states.values())
 
-    @given(frames())
-    def test_shape_table_conses_every_subtree_bottom_up(self, packed):
-        data, _states, _guards = packed
-        seen = []
 
-        def cons(shape):
-            seen.append(shape)
-            return shape
-
-        def subtrees(shape):
-            label, children = shape
-            for child in children:
-                yield from subtrees(child)
-            yield shape
-
-        frame = WireFrame(data)
-        table = frame.shape_table(cons=cons)
-        # bottom-up: children are consed before (and alongside) their roots,
-        # so table entries share canonical subtree objects with the engine
-        assert seen == [shape for root in table for shape in subtrees(root)]
-        for root in table:
-            assert root in seen
-        # memoized: a second call does not re-cons
-        assert frame.shape_table(cons=cons) is table
+def answer(telemetry=None, guards=(), shapes=(("r", ()),), states=()) -> bytes:
+    """Hand-built answer bytes, laid out as :meth:`FrameEncoder.finish`
+    lays them out, with whatever contents a test needs."""
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, pickle.HIGHEST_PROTOCOL)
+    pickler.dump(telemetry)
+    pickler.dump(list(guards))
+    pickler.dump((shapes, list(states)))
+    return buffer.getvalue()
 
 
 class TestFrameRejection:
@@ -177,7 +163,6 @@ class TestFrameRejection:
                 frame = WireFrame(data[:cut])
                 for state_id in frame.state_ids():
                     frame.expansion(state_id)
-                frame.shape_table()
 
     @given(frames(), st.binary(min_size=1, max_size=8))
     def test_trailing_garbage_is_rejected(self, packed, garbage):
@@ -185,29 +170,24 @@ class TestFrameRejection:
         with pytest.raises(WireFormatError):
             WireFrame(data + garbage)
 
-    @given(frames(), st.integers(min_value=0, max_value=255))
-    def test_version_byte_mismatch_is_rejected(self, packed, version):
-        data, _states, _guards = packed
-        if version == WIRE_VERSION:
-            return
-        with pytest.raises(WireFormatError) as excinfo:
-            WireFrame(data[: len(WIRE_MAGIC)] + bytes([version]) + data[len(WIRE_MAGIC) + 1 :])
-        assert "version" in str(excinfo.value)
-
-    @given(st.binary(max_size=64))
-    def test_arbitrary_bytes_never_decode_silently(self, data):
-        if data[: len(WIRE_MAGIC)] == WIRE_MAGIC:
-            return  # exercised by the structured rejection tests above
-        with pytest.raises(WireFormatError):
-            WireFrame(data)
-
-    def test_unknown_guard_term_tag_is_rejected(self):
-        # no telemetry, empty label table, one guard entry whose key starts
-        # with tag 200
-        data = WIRE_MAGIC + bytes([WIRE_VERSION, 0, 0, 1, 200])
-        with pytest.raises(WireFormatError) as excinfo:
-            WireFrame(data)
-        assert "term tag" in str(excinfo.value)
+    def test_each_malformed_answer_is_rejected(self):
+        assert WireFrame(answer(states=[(7, 0, [(0, 0, 2)])])).expansion(7)
+        with pytest.raises(WireFormatError, match="telemetry"):
+            WireFrame(answer(telemetry=["not", "a", "dict"]))
+        with pytest.raises(WireFormatError, match="malformed answer"):
+            WireFrame(answer(states=[(7, 0)]))
+        with pytest.raises(WireFormatError, match="malformed answer"):
+            WireFrame(answer(shapes=None))
+        for candidate in [(0, 0), (0, "a", 0, 2, 0, 9), [0, 0, 2], 5]:
+            frame = WireFrame(answer(states=[(7, 0, [candidate])]))
+            with pytest.raises(WireFormatError, match="layout"):
+                frame.expansion(7)
+        for index in [1, -1, "0", None]:
+            frame = WireFrame(answer(states=[(7, 0, [(0, index, 2)])]))
+            with pytest.raises(WireFormatError, match="shape"):
+                frame.expansion(7)
+        with pytest.raises(WireFormatError, match="state 8"):
+            WireFrame(answer(states=[(7, 0, [])])).expansion(8)
 
 
 class TestGuardTermCodec:
@@ -252,16 +232,25 @@ class TestBinaryShapeRows:
     @settings(max_examples=20, deadline=None)
     def test_sqlite_store_reads_either_row_format(self, batch):
         with tempfile.TemporaryDirectory() as tmp:
-            for binary_shapes in (False, True):
-                path = Path(tmp) / f"shapes-{int(binary_shapes)}.db"
-                store = SqliteStore(path, binary_shapes=binary_shapes)
-                for state_id, shape in enumerate(batch):
-                    store.put_shape(state_id, shape)
-                store.flush()
-                store.close()
-                # reopen with the *opposite* write configuration: the read
-                # path auto-detects per row, so both decode identically
-                reader = SqliteStore(path, binary_shapes=not binary_shapes)
-                assert list(reader.load_shapes()) == list(enumerate(batch))
-                assert [reader.get_shape(i) for i in range(len(batch))] == batch
-                reader.close()
+            path = Path(tmp) / "shapes.db"
+            store = SqliteStore(path)
+            for state_id, shape in enumerate(batch):
+                store.put_shape(state_id, shape)
+            store.close()
+            # the store writes binary rows; rewrite every other one as the
+            # JSON text row earlier builds wrote, so both formats are mixed
+            conn = sqlite3.connect(path)
+            rows = conn.execute("SELECT id, shape FROM shapes").fetchall()
+            assert all(isinstance(row, bytes) for _, row in rows)
+            conn.executemany(
+                "UPDATE shapes SET shape = ? WHERE id = ?",
+                [(encode_shape(batch[sid]), sid) for sid, _ in rows if sid % 2],
+            )
+            conn.commit()
+            conn.close()
+            # the read path detects the format per row
+            reader = SqliteStore(path)
+            assert list(reader.load_shapes()) == list(enumerate(batch))
+            assert [reader.get_shape(i) for i in range(len(batch))] == batch
+            assert [reader.get_state_id(shape) for shape in batch] == list(range(len(batch)))
+            reader.close()

@@ -3,15 +3,18 @@
 A ``Content-Length`` that is not a byte count gets 400 ``bad-request``; one
 above :data:`~repro.service.server.MAX_REQUEST_BYTES` gets 413
 ``payload-too-large`` before any of the body is read.  Either way the
-client gets an answer, and the pod keeps serving.
+client gets an answer, and the pod keeps serving.  A client that stops
+sending mid-request is disconnected after the handler's socket timeout.
 """
 
 import http.client
 import json
+import socket
 
 import pytest
 
 from repro.service import PodServer, ServerConfig
+from repro.service import server as server_module
 from repro.service.server import MAX_REQUEST_BYTES
 
 
@@ -79,3 +82,18 @@ def test_length_at_the_cap_is_read(pod):
     assert status == 400
     assert answer["error"]["code"] == "bad-request"
     assert "JSON" not in answer["error"]["message"]
+
+
+def test_client_stalled_mid_header_is_disconnected(tmp_path, monkeypatch):
+    monkeypatch.setattr(server_module, "SOCKET_TIMEOUT_SECONDS", 0.5)
+    server = PodServer(ServerConfig(store_dir=str(tmp_path / "pod"), port=0, workers=1))
+    server.start()
+    try:
+        with socket.create_connection(("127.0.0.1", server.port), timeout=10) as stalled:
+            stalled.sendall(b"POST /v1/jobs HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Ty")
+            # the pod drops the connection once the timeout passes: EOF, no
+            # answer
+            assert stalled.recv(1024) == b""
+        assert healthy(server.port)
+    finally:
+        server.shutdown()
