@@ -21,7 +21,7 @@ from __future__ import annotations
 from repro.core.equivalence import node_equivalence_classes
 from repro.core.instance import Instance
 from repro.core.schema import Schema
-from repro.core.tree import LabelledTree, Shape
+from repro.core.tree import LabelledTree, Node, Shape
 from repro.exceptions import InstanceError
 
 
@@ -124,3 +124,18 @@ def depth1_state_to_instance(schema: Schema, state: frozenset[str]) -> Instance:
     for label in sorted(state):
         instance.add_field(instance.root, label)
     return instance
+
+
+def depth1_state_tree(root_label: str, state: frozenset[str]) -> Node:
+    """The root of a bare two-level tree with one child per label of *state*.
+
+    The tree has the nodes, labels and ids of
+    :func:`depth1_state_to_instance`'s, without the instance around it: no
+    schema validation and no node index.  Formula evaluation only walks
+    ``children`` and ``parent``, so it is all a guard needs.
+    """
+    root = Node(0, root_label, None)
+    root.children = [
+        Node(node_id, label, root) for node_id, label in enumerate(sorted(state), 1)
+    ]
+    return root

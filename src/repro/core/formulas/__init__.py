@@ -5,6 +5,8 @@ Sub-modules:
 * :mod:`repro.core.formulas.ast` — the abstract syntax tree;
 * :mod:`repro.core.formulas.parser` — the concrete-syntax parser;
 * :mod:`repro.core.formulas.semantics` — the evaluation relation of Def. 3.5;
+* :mod:`repro.core.formulas.compiled` — formulas compiled to closures over
+  tree nodes (the engine's guard evaluation);
 * :mod:`repro.core.formulas.normalize` — the rewriting rules of Lemma 4.4;
 * :mod:`repro.core.formulas.builders` — a small construction DSL;
 * :mod:`repro.core.formulas.satisfiability` — satisfiability procedures

@@ -11,7 +11,8 @@ This package is that hot path, carved out as an explicit subsystem:
   store's ``shape_hash`` index) so residency tracks what a run touches,
   not what the store holds;
 * :mod:`repro.engine.guards` — memoized access-rule / completion-formula
-  evaluation with support-projection and subtree-shape sharing;
+  evaluation with support-projection and subtree-shape sharing, running
+  rules compiled once per form from per-schema-node probe plans;
 * :mod:`repro.engine.strategies` — pluggable frontier orders (BFS, DFS,
   completion-guided best-first);
 * :mod:`repro.engine.store` — persistent state stores

@@ -103,7 +103,6 @@ _Candidate = tuple
 def enumerate_expansion(
     instance: Instance,
     shape_map: dict,
-    schema,
     guards: GuardCache,
     state_id: StateId,
     make_candidate: Callable,
@@ -118,21 +117,27 @@ def enumerate_expansion(
     the serial engine interns the successor and records its state id, a
     worker encodes the successor for the coordinator to intern later.
     Keeping the enumeration in one place is what structurally guarantees the
-    serial-vs-parallel bit-identity the differential suite pins.
+    serial-vs-parallel bit-identity the differential suite pins.  The guard
+    probes of a node come from the cache's plan for its schema label path
+    (:meth:`~repro.engine.guards.GuardCache.plan`).
     """
     size = instance.size()
     candidates: list = []
+    plan_of = guards.plan
+    addition_allowed = guards.addition_allowed
     for node in instance.nodes():
         node_shape = shape_map[node.node_id]
-        schema_node = schema.node_at(node.label_path())
-        for schema_child in schema_node.children:
-            label = schema_child.label
-            if guards.addition_allowed(state_id, node, label, node_shape):
+        path = node.label_path()
+        additions, deletion = plan_of(path)
+        for probe in additions:
+            if addition_allowed(state_id, node, probe, node_shape):
+                label = probe[0]
                 update: Update = Addition(node.node_id, label)
                 copies_before = len(node.children_with_label(label))
                 candidates.append(make_candidate(update, True, size + 1, copies_before))
-        if not node.is_root() and node.is_leaf():
-            if guards.deletion_allowed(state_id, node, shape_map[node.parent.node_id]):
+        if deletion is not None and not node.children:
+            parent_shape = shape_map[node.parent.node_id]
+            if guards.deletion_allowed(state_id, node, deletion, path, parent_shape):
                 candidates.append(make_candidate(Deletion(node.node_id), False, size - 1, 0))
     return candidates
 
@@ -888,9 +893,7 @@ class ExplorationEngine:
                 copies,
             )
 
-        candidates = enumerate_expansion(
-            instance, shape_map, self.guarded_form.schema, guards, state_id, candidate
-        )
+        candidates = enumerate_expansion(instance, shape_map, guards, state_id, candidate)
         self._expansions[state_id] = (candidates, guards.hits + guards.misses - queries_before)
         self.expansions_computed += 1
         return candidates

@@ -25,12 +25,34 @@ levels of sharing, from widest to narrowest:
 Cache ``hits`` count formula evaluations that the legacy explorers would have
 performed but the engine served from memory; ``misses`` count formula
 evaluations actually run.
+
+**Compiled rules and probe plans.**  A miss does not interpret the formula's
+AST: each access rule and the completion formula is compiled once per cache
+into a closure over :class:`~repro.core.tree.Node`
+(:func:`~repro.core.formulas.compiled.compile_formula`), and every miss runs
+one through the module-level :func:`evaluate`.  What a probe needs besides
+the state is fixed by the schema node it is made at, so it is bundled once
+per schema node into a plan:
+
+* :meth:`GuardCache.plan` — per schema label path, for the bounded explorer:
+  each child label with its compiled add rule, whether that rule navigates
+  upward, and its edge path (the subtree key's first part), plus the compiled
+  delete rule of the node itself;
+* :meth:`GuardCache.d1_plan` — per field label, for depth-1 forms: the
+  compiled add and delete rules with their support labels.  A depth-1 miss
+  runs the rule on a bare two-level tree built from the support projection
+  (:func:`~repro.core.canonical.depth1_state_tree`), not on an instance.
+
+A plan decides what to evaluate, never the key: keys depend only on the
+state, the node and the edge, so guard rows a store persisted keep hitting
+(``tests/engine/test_guard_counters.py`` pins the keys and the hit and miss
+counts).
 """
 
 from __future__ import annotations
 
 from repro.core.access import AccessRight
-from repro.core.canonical import depth1_state_to_instance
+from repro.core.canonical import depth1_state_tree
 from repro.core.formulas.ast import (
     And,
     Exists,
@@ -43,11 +65,18 @@ from repro.core.formulas.ast import (
     Slash,
     Step,
 )
-from repro.core.formulas.semantics import evaluate
+from repro.core.formulas.compiled import Rule, compile_formula
 from repro.core.guarded_form import GuardedForm
 from repro.core.tree import Node, Shape
 from repro.io.serialization import decode_guard_key, encode_guard_key_binary
 from repro.obs import NO_TELEMETRY
+
+
+def evaluate(node: Node, rule: Rule) -> bool:
+    """Run the compiled *rule* at *node*: every guard-cache miss goes
+    through here."""
+    return rule(node)
+
 
 #: Sentinel distinguishing "not restored" from a restored ``False`` value.
 _MISSING = object()
@@ -107,7 +136,14 @@ def navigates_upward(formula: "Formula | PathExpr") -> bool:
 
 
 class GuardCache:
-    """Memoizes access-rule and completion-formula evaluations for one form."""
+    """Memoizes access-rule and completion-formula evaluations for one form.
+
+    The completion formula is compiled (:mod:`repro.core.formulas.compiled`)
+    at construction and each access rule when a probe first needs it; the
+    probes of one schema node are bundled in a plan (:meth:`plan`,
+    :meth:`d1_plan`), so a probe costs a key build and a dict lookup, and a
+    miss one closure call.
+    """
 
     def __init__(self, guarded_form: GuardedForm, store=None, telemetry=None) -> None:
         self._form = guarded_form
@@ -122,10 +158,14 @@ class GuardCache:
         #: :meth:`take_eval_seconds` hands to the metrics registry.
         self.eval_seconds = 0.0
         self._eval_unreported = 0.0
-        #: (AccessRight, path) -> (rule formula, upward?, support labels)
-        self._rule_info: dict = {}
+        #: schema label path -> bounded probe plan (see :meth:`plan`)
+        self._plans: dict = {}
+        #: depth-1 field label -> depth-1 probe plan (see :meth:`d1_plan`)
+        self._d1_plans: dict = {}
         completion = guarded_form.completion
+        self._completion = compile_formula(completion)
         self._completion_support = support_labels(completion)
+        self._root_label = guarded_form.schema.root.label
         #: Persistent write-through sink (a persistent
         #: :class:`~repro.engine.store.StateStore`), or ``None``.
         self._store = store
@@ -138,43 +178,72 @@ class GuardCache:
         self.entries_restored = 0
 
     # ------------------------------------------------------------------ #
-    # rule metadata
+    # probe plans
     # ------------------------------------------------------------------ #
 
-    def _info(self, right: AccessRight, path: tuple) -> tuple:
-        info = self._rule_info.get((right, path))
-        if info is None:
-            rule = self._rules.rule(right, path)
-            info = (rule, navigates_upward(rule), support_labels(rule))
-            self._rule_info[(right, path)] = info
-        return info
+    def plan(self, path: tuple) -> tuple:
+        """The guard probes of an instance node at schema label *path*.
 
-    def _lookup(self, key, node: Node, rule: Formula) -> bool:
-        try:
-            value = self._cache[key]
-            self.hits += 1
-            return value
-        except KeyError:
+        Returns ``(additions, deletion)``: ``additions`` holds one
+        ``(label, rule, upward, edge path)`` per schema child of the node, in
+        schema order, with the compiled ``A(add, edge)``; ``deletion`` is
+        ``(rule, upward)`` with the compiled ``A(del, path)``, or ``None`` at
+        the root.  ``upward`` is :func:`navigates_upward` of the rule.
+        """
+        plan = self._plans.get(path)
+        if plan is None:
+            additions = []
+            for schema_child in self._form.schema.node_at(path).children:
+                edge = path + (schema_child.label,)
+                rule = self._rules.rule(AccessRight.ADD, edge)
+                additions.append(
+                    (schema_child.label, compile_formula(rule), navigates_upward(rule), edge)
+                )
+            deletion = None
+            if path:
+                rule = self._rules.rule(AccessRight.DEL, path)
+                deletion = (compile_formula(rule), navigates_upward(rule))
+            plan = self._plans[path] = (tuple(additions), deletion)
+        return plan
+
+    def d1_plan(self, label: str) -> tuple:
+        """The guard probes of the depth-1 field *label*: ``(addition,
+        deletion)``, each ``(rule, support labels)`` with the compiled
+        ``A(add, label)`` and ``A(del, label)``."""
+        plan = self._d1_plans.get(label)
+        if plan is None:
+            probes = []
+            for right in (AccessRight.ADD, AccessRight.DEL):
+                rule = self._rules.rule(right, (label,))
+                probes.append((compile_formula(rule), support_labels(rule)))
+            plan = self._d1_plans[label] = tuple(probes)
+        return plan
+
+    def _miss(self, key, node: Node, rule: Rule) -> bool:
+        """Answer a probe *key* the cache does not hold: from the restored
+        tier, or by evaluating the compiled *rule* at *node*."""
+        if self._restored_raw:
             value = self._probe_restored(key)
             if value is not _MISSING:
                 return value
-            self.misses += 1
-            obs = self._obs
-            if obs.enabled:
-                started = obs.now()
-                value = evaluate(node, rule)
-                elapsed = obs.now() - started
-                self.eval_seconds += elapsed
-                self._eval_unreported += elapsed
-            else:
-                value = evaluate(node, rule)
-            self._cache[key] = value
-            if self._store is not None:
-                self._store.put_guard(key, value)
-            return value
+        self.misses += 1
+        obs = self._obs
+        if obs.enabled:
+            started = obs.now()
+            value = evaluate(node, rule)
+            elapsed = obs.now() - started
+            self.eval_seconds += elapsed
+            self._eval_unreported += elapsed
+        else:
+            value = evaluate(node, rule)
+        self._cache[key] = value
+        if self._store is not None:
+            self._store.put_guard(key, value)
+        return value
 
     def _probe_restored(self, key):
-        """Promote *key* from the raw-restored tier, or :data:`_MISSING`.
+        """Promote *key* from the (non-empty) raw-restored tier, or
+        :data:`_MISSING`.
 
         The binary guard-row encoding is canonical and injective, so instead
         of decoding every persisted row at hydration the cache keeps the raw
@@ -185,10 +254,7 @@ class GuardCache:
         entry counts as a hit, exactly as a probe after an eager restore
         did, and is not written back to the store it came from.
         """
-        raw = self._restored_raw
-        if not raw:
-            return _MISSING
-        value = raw.pop(encode_guard_key_binary(key), _MISSING)
+        value = self._restored_raw.pop(encode_guard_key_binary(key), _MISSING)
         if value is not _MISSING:
             self.hits += 1
             self._cache[key] = value
@@ -220,84 +286,86 @@ class GuardCache:
     # ------------------------------------------------------------------ #
 
     def addition_allowed(
-        self, state_id: int, node: Node, label: str, subtree_shape: Shape
+        self, state_id: int, node: Node, probe: tuple, subtree_shape: Shape
     ) -> bool:
-        """Whether adding *label* under *node* is allowed (``A(add, e)``
-        evaluated at *node*); *subtree_shape* is the consed shape of *node*."""
-        path = node.label_path() + (label,)
-        rule, upward, _ = self._info(AccessRight.ADD, path)
+        """Whether the addition *probe* (an entry of ``plan(path)[0]``, where
+        *path* is the label path of *node*) is allowed under *node*;
+        *subtree_shape* is the consed shape of *node*."""
+        label, rule, upward, edge = probe
         if upward:
             key = ("a", state_id, node.node_id, label)
         else:
-            key = ("A", path, subtree_shape)
-        return self._lookup(key, node, rule)
+            key = ("A", edge, subtree_shape)
+        try:
+            value = self._cache[key]
+        except KeyError:
+            return self._miss(key, node, rule)
+        self.hits += 1
+        return value
 
-    def deletion_allowed(self, state_id: int, node: Node, parent_shape: Shape) -> bool:
-        """Whether deleting the leaf *node* is allowed (``A(del, e)``
-        evaluated at the parent); *parent_shape* is the parent's consed shape.
+    def deletion_allowed(
+        self, state_id: int, node: Node, probe: tuple, path: tuple, parent_shape: Shape
+    ) -> bool:
+        """Whether deleting the leaf *node*, at label *path*, is allowed;
+        *probe* is ``plan(path)[1]`` and *parent_shape* the parent's consed
+        shape.
 
         The rule only sees the parent, so all same-label siblings share one
         cache entry.
         """
-        path = node.label_path()
-        rule, upward, _ = self._info(AccessRight.DEL, path)
+        rule, upward = probe
+        parent = node.parent
         if upward:
-            key = ("d", state_id, node.parent.node_id, node.label)
+            key = ("d", state_id, parent.node_id, node.label)
         else:
             key = ("D", path, parent_shape)
-        return self._lookup(key, node.parent, rule)
+        try:
+            value = self._cache[key]
+        except KeyError:
+            return self._miss(key, parent, rule)
+        self.hits += 1
+        return value
 
     def completion(self, state_id: int, root: Node) -> bool:
         """Whether the state satisfies the completion formula."""
         key = ("phi", state_id)
-        return self._lookup(key, root, self._form.completion)
+        try:
+            value = self._cache[key]
+        except KeyError:
+            return self._miss(key, root, self._completion)
+        self.hits += 1
+        return value
 
     # ------------------------------------------------------------------ #
     # depth-1 guards (canonical label-set states, support-projected)
     # ------------------------------------------------------------------ #
 
-    def _d1_projected(self, tag: str, label_key, state: frozenset, rule: Formula, support: frozenset) -> bool:
+    def _d1_projected(
+        self, tag: str, label_key, state: frozenset, rule: Rule, support: frozenset
+    ) -> bool:
         projection = state & support
         key = (tag, label_key, projection)
         try:
             value = self._cache[key]
-            self.hits += 1
-            return value
         except KeyError:
-            value = self._probe_restored(key)
-            if value is not _MISSING:
-                return value
-            self.misses += 1
-            obs = self._obs
-            if obs.enabled:
-                started = obs.now()
-                materialised = depth1_state_to_instance(self._form.schema, projection)
-                value = evaluate(materialised.root, rule)
-                elapsed = obs.now() - started
-                self.eval_seconds += elapsed
-                self._eval_unreported += elapsed
-            else:
-                materialised = depth1_state_to_instance(self._form.schema, projection)
-                value = evaluate(materialised.root, rule)
-            self._cache[key] = value
-            if self._store is not None:
-                self._store.put_guard(key, value)
-            return value
+            return self._miss(key, depth1_state_tree(self._root_label, projection), rule)
+        self.hits += 1
+        return value
 
     def d1_addition_allowed(self, state: frozenset, label: str) -> bool:
         """``A(add, label)`` at the root of the canonical depth-1 *state*."""
-        rule, _, support = self._info(AccessRight.ADD, (label,))
+        rule, support = self.d1_plan(label)[0]
         return self._d1_projected("1a", label, state, rule, support)
 
     def d1_deletion_allowed(self, state: frozenset, label: str) -> bool:
         """``A(del, label)`` at the root of the canonical depth-1 *state*."""
-        rule, _, support = self._info(AccessRight.DEL, (label,))
+        rule, support = self.d1_plan(label)[1]
         return self._d1_projected("1d", label, state, rule, support)
 
     def d1_completion(self, state: frozenset) -> bool:
         """Whether the canonical depth-1 *state* satisfies the completion."""
         return self._d1_projected(
-            "1p", None, state, self._form.completion, self._completion_support
+            "1p", None, state, self._completion, self._completion_support
         )
 
     # ------------------------------------------------------------------ #

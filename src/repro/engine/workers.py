@@ -148,9 +148,7 @@ class FrontierWorker:
             root_shape = self._shaper.successor_shape(instance, shape_map, update)
             return (update, root_shape, is_addition, succ_size, copies)
 
-        candidates = enumerate_expansion(
-            instance, shape_map, self._form.schema, guards, state_id, candidate
-        )
+        candidates = enumerate_expansion(instance, shape_map, guards, state_id, candidate)
         return (candidates, guards.hits + guards.misses - queries_before)
 
     def run_batch(self, batch: list) -> bytes:

@@ -1,0 +1,99 @@
+"""Golden guard counters: how the engine probes its guards is pinned.
+
+Each row was recorded with the AST-interpreting guard cache, before rules
+were compiled and probes bundled into per-schema-node plans.  Equal hit and
+miss counts mean every probe is made, and served from memory or evaluated,
+exactly as before; an equal digest of the encoded guard keys means every key
+is byte-identical, so guard rows persisted by earlier stores keep hitting.
+The forms are those of the benchmark's request pools, at fixed seeds.
+"""
+
+import hashlib
+
+import pytest
+
+from repro.analysis.completability import decide_completability
+from repro.analysis.semisoundness import decide_semisoundness
+from repro.analysis.statespace import ExplorationLimits
+from repro.benchgen.families import (
+    counter_machine_family,
+    positive_deep_family,
+    qsat_semisoundness_family,
+    sat_completability_family,
+    sat_semisoundness_family,
+)
+from repro.engine import ExplorationEngine
+from repro.fbwis.catalog import leave_application
+from repro.io.serialization import encode_guard_key_binary
+
+BUDGET = {"limits": ExplorationLimits(max_states=300)}
+
+#: name -> (form builder, procedure, keyword arguments)
+CASES = {
+    "sat": (
+        lambda: sat_completability_family(8, clause_ratio=4.3, seed=1)[0],
+        decide_completability,
+        {},
+    ),
+    "sat-semisound": (
+        lambda: sat_semisoundness_family(5, clause_ratio=4.0, seed=1)[0],
+        decide_semisoundness,
+        {},
+    ),
+    "deep": (
+        lambda: positive_deep_family(3, width=2),
+        decide_completability,
+        {"strategy": "bounded", **BUDGET},
+    ),
+    "two-counter": (lambda: counter_machine_family(3)[0], decide_completability, {}),
+    "qsat": (lambda: qsat_semisoundness_family(2, seed=1)[0], decide_completability, BUDGET),
+    "leave-semisound": (
+        lambda: leave_application(single_period=True),
+        decide_semisoundness,
+        {},
+    ),
+}
+
+#: name -> (answer, guard_cache_hits, guard_cache_misses, expansions_computed,
+#: states (canonical states for depth-1 forms), transitions, key digest)
+GOLDEN = {
+    "sat": (True, 3056, 272, 256, 256, 2048, "075a8d8581144b7a"),
+    "sat-semisound": (False, 4020, 273, 243, 243, 810, "1b6b7eb408144268"),
+    "deep": (True, 2670, 1367, 300, 300, 1555, "84b34dd41db1d84e"),
+    "two-counter": (True, 192, 4574, 71, 71, 97, "13c4f00b0e57fa2d"),
+    "qsat": (True, 475, 3010, 300, 300, 1775, "72ef251a226c9065"),
+    "leave-semisound": (True, 8, 378, 29, 29, 94, "3481c9e757f11d7b"),
+}
+
+
+def key_digest(guards) -> str:
+    """A digest of the cached guard entries, independent of insertion order
+    and of string hashing: the sorted canonical binary key encodings, each
+    with its value."""
+    rows = sorted(
+        encode_guard_key_binary(key) + (b"\1" if value else b"\0")
+        for key, value in guards._cache.items()
+    )
+    joined = b"".join(len(row).to_bytes(4, "big") + row for row in rows)
+    return hashlib.sha256(joined).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_guard_counters_match_golden(name):
+    build, decide, options = CASES[name]
+    form = build()
+    engine = ExplorationEngine(form)
+    result = decide(form, engine=engine, **options)
+    stats = result.stats
+    engine_stats = stats["engine"]
+    states = stats.get("states_explored", stats.get("canonical_states"))
+    observed = (
+        result.answer,
+        engine_stats["guard_cache_hits"],
+        engine_stats["guard_cache_misses"],
+        engine_stats["expansions_computed"],
+        states,
+        stats["transitions"],
+        key_digest(engine.guards),
+    )
+    assert observed == GOLDEN[name]
