@@ -878,15 +878,14 @@ def measure_store_backed(frontier: str, limits) -> dict:
     """The bounded reference workload explored through an on-disk SqliteStore.
 
     Two phases against one binary-row store: a **cold build** (fresh store,
-    every guard evaluated from scratch, every row written through — this is
-    harness setup *and* a tracked figure) and the **measured warm re-attach**
-    (a second engine on the same store, whose first ``explore()`` pre-warms
-    its guard cache from the persisted guard rows and resolves shapes through
-    the binary-row fast path).  The old single-pass cold measurement reported
-    a 2.2% guard-cache hit rate — an artifact of measuring only the build;
-    the warm attach is the deployment story (resume/extend an analysis
-    against an existing store) and is what the ``--check`` gate now tracks
-    under the historical workload name.
+    every shape and representative written through — this is harness setup
+    *and* a tracked figure) and the **measured re-attach** (a second engine
+    on the same store, which resolves shapes through the binary-row fast
+    path).  Guard values are not persisted, so the re-attached engine
+    evaluates its guards afresh, as the build did.  The re-attach is the
+    deployment story (resume/extend an analysis against an existing store)
+    and is what the ``--check`` gate tracks under the historical workload
+    name.
     """
     from repro.engine import ExplorationEngine, SqliteStore
     from repro.fbwis.catalog import leave_application
@@ -897,7 +896,7 @@ def measure_store_backed(frontier: str, limits) -> dict:
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "bench.db"
-        # phase 1: cold build (fresh store, all guards evaluated)
+        # phase 1: cold build (fresh store, every row written)
         build_store = SqliteStore(path, batch_size=512)
         build_engine = ExplorationEngine(
             form, limits=limits, strategy=frontier, store=build_store
@@ -909,9 +908,8 @@ def measure_store_backed(frontier: str, limits) -> dict:
         build_store.close()
         del build_engine, build_store
 
-        # phase 2 (measured): warm re-attach — the first explore() hydrates
-        # the persisted guard rows into the fresh engine's cache, so the
-        # exploration replays against pre-warmed guards and stored shapes
+        # phase 2 (measured): re-attach — the exploration finds its shapes
+        # in the store and evaluates its guards in memory
         store = SqliteStore(path)
         engine = ExplorationEngine(form, limits=limits, strategy=frontier, store=store)
         started = time.perf_counter()
@@ -938,7 +936,6 @@ def measure_store_backed(frontier: str, limits) -> dict:
         "cold_guard_cache_hit_rate": build_stats["guard_cache_hit_rate"],
         "state_set_parity_with_legacy": parity and cold_parity,
         "guard_cache_hit_rate": stats["guard_cache_hit_rate"],
-        "guard_entries_restored": stats["guard_entries_restored"],
         "store_rows_written": stats["store_rows_written"],
         "store_flushes": stats["store_flushes"],
         "store_rows_read": stats["store_rows_read"],

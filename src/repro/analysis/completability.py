@@ -29,7 +29,7 @@ statistics, store read/write/flush counters) are surfaced under
 
 Bounded explorations can additionally be backed by a persistent
 :class:`~repro.engine.store.StateStore` (*store*): interned shapes, canonical
-representatives and guard values are written through to disk, and an
+representatives and exploration checkpoints are written to disk, and an
 interrupted exploration can be picked up with *resume* instead of restarting
 — see :mod:`repro.engine.store`.  *stop_on_complete* opts into early exit:
 the bounded search returns as soon as a complete state is interned, which on
@@ -161,9 +161,10 @@ def completability_depth1(
     completion formula.  Always terminates; worst case ``2^n`` states, but
     the engine's support-projected guard cache shares formula evaluations
     across states that agree on the labels a rule can observe.  A persistent
-    *store* carries the support-projected guard values across processes
-    (depth-1 explorations are not checkpointed — their canonical states are
-    cheap to re-enumerate).  *workers* is accepted for dispatch symmetry:
+    *store* is accepted but carries nothing between processes: depth-1
+    explorations are not checkpointed (their canonical states are cheap to
+    re-enumerate) and guard values stay in memory.  *workers* is accepted
+    for dispatch symmetry:
     canonical depth-1 states are label sets, far cheaper to expand than to
     ship to a worker process, so the exploration itself stays serial on a
     parallel engine too.
@@ -329,9 +330,9 @@ def decide_completability(
             the same form.
         store: a :class:`~repro.engine.store.StateStore` backing a freshly
             built engine (ignored when *engine* is supplied — that engine
-            keeps its own store).  Only the bounded procedure checkpoints
-            explorations; the saturation and depth-1 procedures still
-            persist their guard evaluations through the store.
+            keeps its own store).  Only the bounded procedure writes to it
+            (shapes, representatives, checkpoints); the saturation and
+            depth-1 procedures persist nothing.
         resume: continue the bounded exploration from the checkpoint an
             identically parameterised earlier run saved in the store.
         stop_on_complete: let the bounded exploration return as soon as a

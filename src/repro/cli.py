@@ -560,7 +560,6 @@ def _cmd_store_info(args: argparse.Namespace, out) -> int:
     print(f"  layout version        : {info['schema_version'] or '(none)'}", file=out)
     print(f"  interned shapes       : {info['interned_shapes']}", file=out)
     print(f"  representatives       : {info['representatives']}", file=out)
-    print(f"  guard entries         : {info['guard_entries']}", file=out)
     print(f"  checkpoints           : {info['checkpoints']}", file=out)
     print(f"  resumable (unfinished): {info['resumable_checkpoints']}", file=out)
     _print_cache_info(args, out)

@@ -17,8 +17,8 @@ This package is that hot path, carved out as an explicit subsystem:
   completion-guided best-first);
 * :mod:`repro.engine.store` — persistent state stores
   (:class:`InMemoryStore` / :class:`SqliteStore`): interned shapes, canonical
-  representatives, guard values and resumable exploration checkpoints on
-  disk, with write batching, LRU read caches (negative lookups included)
+  representatives and resumable exploration checkpoints on disk (guard
+  values stay in memory), with write batching, LRU read caches (negative lookups included)
   and a ``shape_hash``-indexed reverse lookup backing partial hydration and
   the engine's ``resident_budget`` eviction;
 * :mod:`repro.engine.engine` — :class:`ExplorationEngine`, tying them

@@ -43,9 +43,9 @@ guard values are isomorphism-invariant.
 
 **Persistence and resume.**  The engine's working set can be backed by a
 :class:`~repro.engine.store.StateStore` (``store=``).  With a persistent
-backend (:class:`~repro.engine.store.SqliteStore`) every interned shape,
-canonical representative (node ids included) and guard evaluation is written
-through in batches, and :meth:`ExplorationEngine.explore` checkpoints its
+backend (:class:`~repro.engine.store.SqliteStore`) every interned shape and
+canonical representative (node ids included) is written through in
+batches, and :meth:`ExplorationEngine.explore` checkpoints its
 frontier every ``checkpoint_every`` expansions — so an interrupted
 exploration (``KeyboardInterrupt`` or an explicit ``step_limit``) can be
 picked up by a *fresh process* with ``explore(resume=True)`` and finish with
@@ -53,10 +53,14 @@ exactly the states, transitions and truncation flags of an uninterrupted
 run.  The differential suite in ``tests/engine/test_store_parity.py`` pins
 that equivalence against the in-memory engine for every benchgen family.
 
-**Bounded residency.**  Attaching to a populated store hydrates lazily —
-only guard values load eagerly; shapes are pulled in on first touch through
-the interner's store fallback, and representatives on first use — so memory
-tracks what a run explores, not what the store holds.  A ``resident_budget``
+Guard values stay in memory: a resumed process re-evaluates the guards it
+probes, since running a compiled rule costs less than writing and restoring
+its value.
+
+**Bounded residency.**  Attaching to a populated store loads nothing
+eagerly: shapes are pulled in on first touch through the interner's store
+fallback, and representatives on first use — so memory tracks what a run
+explores, not what the store holds.  A ``resident_budget``
 additionally caps the resident working set (representatives, shape maps,
 interned root shapes, memoized expansions), evicting least-recently-accessed
 entries between expansions; everything evicted reloads or deterministically
@@ -446,7 +450,7 @@ class ExplorationEngine:
         backing = self.store if self.store.persistent else None
         self.interner = ShapeInterner(store=backing)
         self.shaper = IncrementalShaper(self.interner)
-        self.guards = GuardCache(guarded_form, store=backing, telemetry=self.telemetry)
+        self.guards = GuardCache(guarded_form, telemetry=self.telemetry)
         #: StateId -> resident representative Instance, in recency-of-access
         #: order (front = coldest; eviction pops from the front).
         self._reps: OrderedDict = OrderedDict()
@@ -468,19 +472,12 @@ class ExplorationEngine:
         self._persisted_rows_at_attach = 0
         #: Whether the engine bound itself to the store's persisted state.
         #: Hydration is deferred to the first exploration and performed at
-        #: most once per engine: repeated ``explore()`` calls against the
-        #: same engine must not re-scan (and can never double-restore) the
-        #: store's guard table.
+        #: most once per engine.
         self._hydrated = backing is None
 
     def _hydrate(self) -> None:
         """Bind the engine to its store's persisted state (lazily, once).
 
-        Guard rows are loaded eagerly but binary rows are kept **undecoded**
-        until a key is actually probed
-        (:meth:`~repro.engine.guards.GuardCache.restore_raw`) — the binary
-        encoding is canonical, so probing encodes the asked-for key instead
-        of decoding the whole table.
         Shapes are **not** bulk-restored: the interner is told the persisted
         id range and row count (:meth:`ShapeInterner.bind_persisted`), and
         individual rows are pulled in on first touch through the two-tier
@@ -488,27 +485,13 @@ class ExplorationEngine:
         what the run actually explores.  Representatives are likewise fetched
         lazily by :meth:`representative`.
 
-        The ``_hydrated`` flag is only set after every step succeeded: an
-        exception mid-hydration (corrupt row, decode error, Ctrl-C) leaves
-        the engine un-hydrated, so the next exploration retries — and fails
-        again — instead of silently exploring against a truncated table
-        (every restore step is idempotent, so a retry after partial progress
-        is safe).
+        The ``_hydrated`` flag is only set after binding succeeded: an
+        exception (a store read error, Ctrl-C) leaves the engine un-hydrated,
+        so the next exploration retries instead of exploring unbound.
         """
         if self._hydrated:
             return
         with self.telemetry.span("engine.hydrate"):
-            raw_rows = self.store.load_guards_raw()
-            if raw_rows is not None:
-                # binary rows stay undecoded until a key is probed (the decode
-                # used to dominate large-store attach); the JSON rows of
-                # stores written by earlier builds still decode — and
-                # surface corruption — here
-                for row, value in raw_rows:
-                    self.guards.restore_raw(row, value)
-            else:
-                for key, value in self.store.load_guards():
-                    self.guards.restore(key, value)
             max_id = self.store.max_state_id()
             if max_id is not None:
                 rows = self.store.shape_row_count()
@@ -1063,7 +1046,7 @@ class ExplorationEngine:
                     graph.states.add(transition.target)
                     frontier.push(transition.target)
         if self.store.persistent:
-            self.store.flush()  # depth-1 runs persist guard values, not checkpoints
+            self.store.flush()  # depth-1 runs write no checkpoints
         return graph
 
     def _expand_depth1(self, state: frozenset) -> list:

@@ -44,12 +44,20 @@ per schema node into a plan:
   (:func:`~repro.core.canonical.depth1_state_tree`), not on an instance.
 
 A plan decides what to evaluate, never the key: keys depend only on the
-state, the node and the edge, so guard rows a store persisted keep hitting
-(``tests/engine/test_guard_counters.py`` pins the keys and the hit and miss
-counts).
+state, the node and the edge (``tests/engine/test_guard_counters.py`` pins
+the keys and the hit and miss counts).
+
+The cache lives in memory only.  A store-backed engine persists shapes,
+representatives and checkpoints but no guard values: re-running a compiled
+rule in a resumed process costs less than encoding, writing and restoring
+its row.  The one way entries enter the cache other than a miss is
+:meth:`GuardCache.restore`, with which the parallel coordinator merges the
+entries its frontier workers evaluated.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 from repro.core.access import AccessRight
 from repro.core.canonical import depth1_state_tree
@@ -68,7 +76,6 @@ from repro.core.formulas.ast import (
 from repro.core.formulas.compiled import Rule, compile_formula
 from repro.core.guarded_form import GuardedForm
 from repro.core.tree import Node, Shape
-from repro.io.serialization import decode_guard_key, encode_guard_key_binary
 from repro.obs import NO_TELEMETRY
 
 
@@ -76,10 +83,6 @@ def evaluate(node: Node, rule: Rule) -> bool:
     """Run the compiled *rule* at *node*: every guard-cache miss goes
     through here."""
     return rule(node)
-
-
-#: Sentinel distinguishing "not restored" from a restored ``False`` value.
-_MISSING = object()
 
 
 def support_labels(formula: Formula) -> frozenset:
@@ -145,9 +148,11 @@ class GuardCache:
     miss one closure call.
     """
 
-    def __init__(self, guarded_form: GuardedForm, store=None, telemetry=None) -> None:
+    def __init__(self, guarded_form: GuardedForm, telemetry=None) -> None:
         self._form = guarded_form
         self._rules = guarded_form.rules
+        #: key -> value, in insertion order; only misses and :meth:`restore`
+        #: add entries, and none is ever removed
         self._cache: dict = {}
         #: Telemetry recorder; the cache-hit path never touches it, and the
         #: miss path pays two clock reads only when tracing is enabled.
@@ -166,16 +171,8 @@ class GuardCache:
         self._completion = compile_formula(completion)
         self._completion_support = support_labels(completion)
         self._root_label = guarded_form.schema.root.label
-        #: Persistent write-through sink (a persistent
-        #: :class:`~repro.engine.store.StateStore`), or ``None``.
-        self._store = store
-        #: Persisted **binary** guard rows restored raw (encoded bytes →
-        #: value) and promoted into ``_cache`` on first probe; see
-        #: :meth:`restore_raw`.
-        self._restored_raw: dict = {}
         self.hits = 0
         self.misses = 0
-        self.entries_restored = 0
 
     # ------------------------------------------------------------------ #
     # probe plans
@@ -220,12 +217,8 @@ class GuardCache:
         return plan
 
     def _miss(self, key, node: Node, rule: Rule) -> bool:
-        """Answer a probe *key* the cache does not hold: from the restored
-        tier, or by evaluating the compiled *rule* at *node*."""
-        if self._restored_raw:
-            value = self._probe_restored(key)
-            if value is not _MISSING:
-                return value
+        """Answer a probe *key* the cache does not hold by evaluating the
+        compiled *rule* at *node*."""
         self.misses += 1
         obs = self._obs
         if obs.enabled:
@@ -237,49 +230,17 @@ class GuardCache:
         else:
             value = evaluate(node, rule)
         self._cache[key] = value
-        if self._store is not None:
-            self._store.put_guard(key, value)
-        return value
-
-    def _probe_restored(self, key):
-        """Promote *key* from the (non-empty) raw-restored tier, or
-        :data:`_MISSING`.
-
-        The binary guard-row encoding is canonical and injective, so instead
-        of decoding every persisted row at hydration the cache keeps the raw
-        bytes and **encodes the probed key** (one cheap
-        :func:`~repro.io.serialization.encode_guard_key_binary` per first
-        probe) — hydration cost becomes proportional to the keys a run
-        actually asks about, not to the store's guard table.  A promoted
-        entry counts as a hit, exactly as a probe after an eager restore
-        did, and is not written back to the store it came from.
-        """
-        value = self._restored_raw.pop(encode_guard_key_binary(key), _MISSING)
-        if value is not _MISSING:
-            self.hits += 1
-            self._cache[key] = value
         return value
 
     def restore(self, key: tuple, value: bool) -> None:
-        """Seed one persisted guard entry (hydration; not written back)."""
+        """Seed one guard entry evaluated elsewhere (a frontier worker)."""
         self._cache[key] = value
-        self.entries_restored += 1
 
-    def restore_raw(self, row, value: bool) -> None:
-        """Seed one persisted guard row without decoding it (hydration).
-
-        Binary rows are kept as raw bytes and promoted lazily by
-        :meth:`_probe_restored`; a corrupt binary row can therefore never
-        poison the cache — it simply never matches a probed key's canonical
-        encoding and the evaluation reruns.  Legacy JSON rows are decoded
-        (and validated) eagerly, preserving the attach-time corruption
-        surfacing those stores were written under.
-        """
-        if isinstance(row, (bytes, bytearray, memoryview)):
-            self._restored_raw[bytes(row)] = bool(value)
-            self.entries_restored += 1
-        else:
-            self.restore(decode_guard_key(row), bool(value))
+    def entries_since(self, count: int) -> list:
+        """The ``(key, value)`` entries added after the cache held *count*,
+        oldest first; the cache only grows, in insertion order, so they are
+        its tail."""
+        return list(islice(reversed(self._cache.items()), len(self._cache) - count))[::-1]
 
     # ------------------------------------------------------------------ #
     # bounded-explorer guards (arbitrary depth, subtree/state keyed)
@@ -401,5 +362,4 @@ class GuardCache:
             "guard_cache_hit_rate": round(self.hit_rate, 4),
             "formula_evaluations": self.misses,
             "formula_evaluations_saved": self.hits,
-            "guard_entries_restored": self.entries_restored,
         }

@@ -40,13 +40,11 @@ tracked and surface in ``stats["engine"]`` as ``wire_*`` counters;
 ``benchmarks/run_all.py`` gates the bytes-per-candidate reduction against
 the PR 3 encoding.
 
-Guard values flow back inside each answer.  On a store-backed engine the
-workers additionally hydrate from and write through to the sqlite store's
-``guards`` table (WAL journaling lets them do so concurrently with the
-coordinator); with an :class:`~repro.engine.store.InMemoryStore` the
-coordinator merges the returned entries into its own
-:class:`~repro.engine.guards.GuardCache` instead, so nothing is evaluated
-twice either way.
+Guard values flow back inside each answer: the coordinator merges the
+returned entries into its own :class:`~repro.engine.guards.GuardCache`
+(:meth:`~repro.engine.guards.GuardCache.restore`), so nothing a worker
+evaluated is evaluated again on the coordinator.  Guard values are never
+written to a store, so workers hydrate only their shard's persisted shapes.
 """
 
 from __future__ import annotations
@@ -157,7 +155,7 @@ class ParallelExplorationEngine(ExplorationEngine):
     # ------------------------------------------------------------------ #
 
     def _store_path(self) -> Optional[str]:
-        """The on-disk store workers should sync guard values through."""
+        """The on-disk store workers pre-warm their shard's shapes from."""
         if not self.store.persistent:
             return None
         path = getattr(self.store, "path", None)

@@ -113,8 +113,9 @@ class SqliteBacked:
             self._conn.execute("PRAGMA synchronous=NORMAL")
             self._conn.execute(f"PRAGMA busy_timeout={_BUSY_TIMEOUT_MS}")
             # WAL lets concurrent processes read while a writer streams its
-            # batches (the parallel engine's frontier workers hydrating guard
-            # values, a campaign's report running against a live store);
+            # batches (the parallel engine's frontier workers pre-warming
+            # their shard's shapes, a campaign's report running against a
+            # live store);
             # in-memory databases don't support it, which sqlite reports by
             # answering with the journal mode it kept.
             self._conn.execute("PRAGMA journal_mode=WAL")

@@ -1,20 +1,20 @@
 """Persistent state stores for the exploration engine.
 
 The engine's working set — interned shapes, canonical representative
-instances, guard-cache entries and in-flight exploration checkpoints — lives
-in in-memory dicts by default, which caps ``max_states`` at whatever fits in
-RAM and ties an exploration to one process.  This module puts a storage
-protocol underneath:
+instances and in-flight exploration checkpoints — lives in in-memory dicts
+by default, which caps ``max_states`` at whatever fits in RAM and ties an
+exploration to one process.  This module puts a storage protocol underneath:
 
 * :class:`StateStore` — the backend interface.  The engine *writes through*
-  to it (every newly interned shape, registered representative and evaluated
-  guard is offered to the store) and *hydrates* from it on construction, so a
-  fresh process attached to a populated store resumes with the exact state
-  ids, representatives (node-id-for-node-id) and guard values of the process
-  that wrote it.
+  to it (every newly interned shape and registered representative is offered
+  to the store) and *hydrates* from it on construction, so a fresh process
+  attached to a populated store resumes with the exact state ids and
+  representatives (node-id-for-node-id) of the process that wrote it.  Guard
+  values are not persisted: they are compiled-rule evaluations, cheaper to
+  recompute in the resuming process than to encode, write and restore.
 
 * :class:`InMemoryStore` — the extracted default behaviour.  Nothing is
-  serialised; shapes/representatives/guards stay solely in the engine's own
+  serialised; shapes and representatives stay solely in the engine's own
   structures (``persistent`` is ``False``, so the engine skips the
   write-through entirely and the hot path is unchanged).  Exploration
   checkpoints *are* kept, in a plain dict, so step-budgeted explorations can
@@ -27,9 +27,9 @@ protocol underneath:
   used states.  A fingerprint of the guarded form is recorded on first attach
   and verified on every later one — a store can never silently answer for the
   wrong form.  Shape rows are written as the shape arena's canonical binary
-  encoding and guard rows in the binary term codec; the read path also
-  decodes the JSON rows that earlier builds wrote, so their stores still
-  attach and resume.
+  encoding; the read path also decodes the JSON rows that earlier builds
+  wrote, so their stores still attach and resume.  The ``guards`` table such
+  stores may hold is never read.
 
 Checkpoints are keyed by a digest of the exploration parameters (start
 shape, limits, strategy, early-exit flag), so several explorations — e.g.
@@ -61,10 +61,8 @@ from repro.engine.sqlite_base import (  # noqa: F401  (re-exported: old import p
 )
 from repro.exceptions import StoreError
 from repro.io.serialization import (
-    decode_guard_row,
     decode_shape_binary,
     decode_shape_row,
-    encode_guard_key_binary,
     encode_shape,
     encode_shape_binary,
     form_fingerprint,
@@ -181,23 +179,6 @@ class StateStore:
         """The serialised representative of a state, or ``None``."""
         return None
 
-    # -- guard-cache entries ------------------------------------------- #
-
-    def put_guard(self, key: tuple, value: bool) -> None:
-        """Record one memoized guard evaluation."""
-
-    def load_guards(self) -> Iterator[tuple[tuple, bool]]:
-        """All persisted ``(key, value)`` guard entries."""
-        return iter(())
-
-    def load_guards_raw(self):
-        """All persisted guard entries as raw ``(encoded row, value)`` pairs,
-        or ``None`` when the backend has no row encoding (callers fall back
-        to :meth:`load_guards`).  Raw rows feed
-        :meth:`~repro.engine.guards.GuardCache.restore_raw`, which defers
-        binary-row decoding until a key is actually probed."""
-        return None
-
     # -- exploration checkpoints --------------------------------------- #
 
     def save_checkpoint(self, run_key: str, payload: dict) -> None:
@@ -224,9 +205,9 @@ class StateStore:
 class InMemoryStore(StateStore):
     """The default, process-local backend (current behaviour, extracted).
 
-    Shapes, representatives and guard values live only in the engine's own
-    dicts; this store merely keeps exploration checkpoints so step-budgeted
-    explorations remain resumable inside one process.
+    Shapes and representatives live only in the engine's own dicts; this
+    store merely keeps exploration checkpoints so step-budgeted explorations
+    remain resumable inside one process.
     """
 
     persistent = False
@@ -276,11 +257,10 @@ class SqliteStore(SqliteBacked, StateStore):
     Shape rows are byte for byte the shape arena's cached canonical
     encoding (:func:`~repro.io.serialization.encode_shape_binary`), so the
     reverse lookup is bytes equality — no decode at all on the hot attach
-    path.  Guard rows hold keys in the binary term codec
-    (:func:`~repro.io.serialization.encode_guard_key_binary`).  Reads decode
-    either format per row (:func:`~repro.io.serialization.decode_shape_row`,
-    :func:`~repro.io.serialization.decode_guard_row`), so stores holding the
+    path.  Reads decode either format per row
+    (:func:`~repro.io.serialization.decode_shape_row`), so stores holding the
     JSON rows of earlier builds — even mixed with new rows — still open.
+    Their ``guards`` table, if any, is left as it is and never read.
     """
 
     persistent = True
@@ -292,7 +272,6 @@ class SqliteStore(SqliteBacked, StateStore):
         "CREATE TABLE IF NOT EXISTS shapes "
         "(id INTEGER PRIMARY KEY, shape TEXT NOT NULL, shape_hash INTEGER)",
         "CREATE TABLE IF NOT EXISTS representatives (id INTEGER PRIMARY KEY, blob TEXT NOT NULL)",
-        "CREATE TABLE IF NOT EXISTS guards (key TEXT PRIMARY KEY, value INTEGER NOT NULL)",
         "CREATE TABLE IF NOT EXISTS checkpoints (run_key TEXT PRIMARY KEY, payload TEXT NOT NULL)",
     )
 
@@ -321,7 +300,6 @@ class SqliteStore(SqliteBacked, StateStore):
         self._pending_shapes: dict[int, tuple[Optional[Shape], int, bytes]] = {}
         self._pending_by_hash: dict[int, list[int]] = {}
         self._pending_reps: dict[int, str] = {}
-        self._pending_guards: dict[tuple, bool] = {}
         self.shape_cache = LRUCache(cache_size)
         self.representative_cache = LRUCache(cache_size)
         self.rows_written = 0
@@ -403,7 +381,7 @@ class SqliteStore(SqliteBacked, StateStore):
             raise StoreError(
                 f"state store {self.path} belongs to guarded form "
                 f"{self._get_meta('form_name')!r}, not {guarded_form.name!r}; "
-                "its shapes, guard values and checkpoints cannot be reused"
+                "its shapes, representatives and checkpoints cannot be reused"
             )
         if recorded is None:
             self._set_meta("schema_version", STORE_SCHEMA_VERSION)
@@ -412,7 +390,7 @@ class SqliteStore(SqliteBacked, StateStore):
             self._conn.commit()
 
     def flush(self) -> None:
-        if not (self._pending_shapes or self._pending_reps or self._pending_guards):
+        if not (self._pending_shapes or self._pending_reps):
             return
         started = time.perf_counter()
         pending = self._pending_rows()
@@ -432,15 +410,6 @@ class SqliteStore(SqliteBacked, StateStore):
                 list(self._pending_reps.items()),
             )
             self._pending_reps.clear()
-        if self._pending_guards:
-            self._conn.executemany(
-                "INSERT OR REPLACE INTO guards (key, value) VALUES (?, ?)",
-                [
-                    (encode_guard_key_binary(key), int(value))
-                    for key, value in self._pending_guards.items()
-                ],
-            )
-            self._pending_guards.clear()
         self._conn.commit()
         self.flushes += 1
         elapsed = time.perf_counter() - started
@@ -455,11 +424,7 @@ class SqliteStore(SqliteBacked, StateStore):
         self._conn.close()
 
     def _pending_rows(self) -> int:
-        return (
-            len(self._pending_shapes)
-            + len(self._pending_reps)
-            + len(self._pending_guards)
-        )
+        return len(self._pending_shapes) + len(self._pending_reps)
 
     def _maybe_flush(self) -> None:
         if self._pending_rows() >= self.batch_size:
@@ -612,26 +577,14 @@ class SqliteStore(SqliteBacked, StateStore):
         self.representative_cache.put(state_id, row[0])
         return row[0]
 
-    # -- guard-cache entries ------------------------------------------- #
+    # -- ledger seams -------------------------------------------------- #
 
     def put_guard(self, key: tuple, value: bool) -> None:
-        self._pending_guards[key] = value
-        self.rows_written += 1
-        self._maybe_flush()
+        """Does nothing: a seam perfbench/ledger.py patches by name."""
 
-    def load_guards(self) -> Iterator[tuple[tuple, bool]]:
-        self.flush()
-        for row, value in self._conn.execute("SELECT key, value FROM guards"):
-            self.rows_read += 1
-            yield decode_guard_row(row), bool(value)
-
-    def load_guards_raw(self):
-        self.flush()
-        rows = []
-        for row, value in self._conn.execute("SELECT key, value FROM guards"):
-            self.rows_read += 1
-            rows.append((row, bool(value)))
-        return rows
+    def load_guards_raw(self) -> tuple:
+        """Returns ``()``: a seam perfbench/ledger.py patches by name."""
+        return ()
 
     # -- exploration checkpoints --------------------------------------- #
 
@@ -695,7 +648,7 @@ class SqliteStore(SqliteBacked, StateStore):
         self.flush()
         counts = {
             table: self._conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
-            for table in ("shapes", "representatives", "guards", "checkpoints")
+            for table in ("shapes", "representatives", "checkpoints")
         }
         pending = [
             run_key
@@ -713,7 +666,6 @@ class SqliteStore(SqliteBacked, StateStore):
             "schema_version": self._get_meta("schema_version"),
             "interned_shapes": counts["shapes"],
             "representatives": counts["representatives"],
-            "guard_entries": counts["guards"],
             "checkpoints": counts["checkpoints"],
             "resumable_checkpoints": len(pending),
         }
@@ -749,56 +701,6 @@ def load_shard_shape_rows(
     except sqlite3.Error:
         return []
     return [decode_shape_row(row) for (row,) in rows]
-
-
-def load_guard_rows_raw(path: "str | Path") -> list:
-    """All persisted guard entries of the store at *path*, **undecoded**.
-
-    Frontier worker processes hydrate their local guard caches from the
-    coordinator's store through this short-lived read-only connection; an
-    empty or yet-uncreated store yields no rows.  The rows seed
-    :meth:`~repro.engine.guards.GuardCache.restore_raw`, so binary rows are
-    only decoded (in fact, only *matched*, by canonical encoding) when the
-    worker actually probes the key.
-    """
-    try:
-        conn = sqlite3.connect(str(path))
-        try:
-            conn.execute(f"PRAGMA busy_timeout={_BUSY_TIMEOUT_MS}")
-            rows = conn.execute("SELECT key, value FROM guards").fetchall()
-        finally:
-            conn.close()
-    except sqlite3.Error:
-        return []
-    return [(row, bool(value)) for row, value in rows]
-
-
-def write_guard_rows(path: "str | Path", entries: list) -> None:
-    """Write worker-evaluated guard entries into the store at *path*.
-
-    One short transaction through the WAL per batch; rows are keyed by the
-    same binary encoding :meth:`SqliteStore.flush` writes, so concurrent
-    writers replaying the same evaluation are idempotent.  Sync failures
-    (e.g. a reader holding the database exclusively past the busy timeout)
-    are swallowed: the entries also travel back to the coordinator in the
-    worker's answer, so losing the write-through costs at most a
-    re-evaluation in a later process.
-    """
-    if not entries:
-        return
-    try:
-        conn = sqlite3.connect(str(path))
-        try:
-            conn.execute(f"PRAGMA busy_timeout={_BUSY_TIMEOUT_MS}")
-            conn.executemany(
-                "INSERT OR REPLACE INTO guards (key, value) VALUES (?, ?)",
-                [(encode_guard_key_binary(key), int(value)) for key, value in entries],
-            )
-            conn.commit()
-        finally:
-            conn.close()
-    except sqlite3.Error:  # pragma: no cover - contention fallback
-        pass
 
 
 def open_store(path: "str | Path | None", **kwargs) -> StateStore:

@@ -26,14 +26,11 @@ ones.  On a store-backed exploration each worker hydrates only its own
 ``stable_shape_hash % N`` slice of the persisted shape table into its local
 subtree caches (:func:`~repro.engine.store.load_shard_shape_rows`), so
 worker residency scales with the shard, never the whole table.  What
-workers *do* share is guard evaluations: each worker keeps a
+workers *do* share is guard evaluations: each worker keeps an in-memory
 :class:`~repro.engine.guards.GuardCache` keyed identically to the
 coordinator's (states are addressed by their canonical ids, shipped with the
-task), returns the entries it evaluated in its answers, and — when the
-exploration is backed by an on-disk :class:`~repro.engine.store.SqliteStore`
-— hydrates from and writes back to the store's ``guards`` table through the
-sqlite WAL (see :func:`load_guard_rows_raw` / :func:`write_guard_rows` in
-:mod:`repro.engine.store`).
+task) and returns the entries each batch evaluated in its answer, for the
+coordinator to merge.  Guard values never touch the store.
 """
 
 from __future__ import annotations
@@ -47,11 +44,7 @@ from repro.core.guarded_form import GuardedForm, Update
 from repro.engine.engine import enumerate_expansion
 from repro.engine.guards import GuardCache
 from repro.engine.interning import IncrementalShaper, ShapeInterner
-from repro.engine.store import (
-    load_guard_rows_raw,
-    load_shard_shape_rows,
-    write_guard_rows,
-)
+from repro.engine.store import load_shard_shape_rows
 from repro.engine.wire import FrameEncoder
 from repro.exceptions import AnalysisError
 from repro.io.serialization import decode_instance_with_ids
@@ -69,25 +62,6 @@ _POLL_INTERVAL = 0.25
 #: so it must stay bounded — a worker attached to a 10^7-row store must not
 #: materialise its whole 1/N slice.
 SHARD_HYDRATION_LIMIT = 100_000
-
-
-class _GuardJournal:
-    """A guard-cache write sink collecting the entries a worker evaluates.
-
-    Quacks like the persistent-store interface :class:`GuardCache` writes
-    through (``put_guard``), so the worker-side cache needs no special mode;
-    the pool drains the journal once per batch.
-    """
-
-    def __init__(self) -> None:
-        self.entries: list = []
-
-    def put_guard(self, key: tuple, value: bool) -> None:
-        self.entries.append((key, value))
-
-    def drain(self) -> list:
-        drained, self.entries = self.entries, []
-        return drained
 
 
 class FrontierWorker:
@@ -111,26 +85,23 @@ class FrontierWorker:
         self._form = guarded_form
         self._interner = ShapeInterner()
         self._shaper = IncrementalShaper(self._interner)
-        self._journal = _GuardJournal()
         self.telemetry = telemetry if telemetry is not None else NO_TELEMETRY
-        self._guards = GuardCache(guarded_form, store=self._journal, telemetry=self.telemetry)
-        self._store_path = store_path
+        self._guards = GuardCache(guarded_form, telemetry=self.telemetry)
+        #: Guard entries already shipped to the coordinator: the cache's
+        #: first ``_guards_reported`` entries.
+        self._guards_reported = 0
         #: Persisted shapes pre-consed into this worker's local interner —
         #: only its own ``stable_shape_hash % nshards`` slice (capped at
         #: :data:`SHARD_HYDRATION_LIMIT`), never the whole table, so worker
         #: residency stays proportional to the shard and bounded.
         self.shapes_hydrated = 0
-        if store_path is not None:
+        if store_path is not None and shard is not None and nshards:
             with self.telemetry.span("worker.hydrate", shard=shard, nshards=nshards):
-                if shard is not None and nshards:
-                    for shape in load_shard_shape_rows(
-                        store_path, shard, nshards, limit=SHARD_HYDRATION_LIMIT
-                    ):
-                        self._interner.cons_tree(shape)
-                        self.shapes_hydrated += 1
-                for row, value in load_guard_rows_raw(store_path):
-                    self._guards.restore_raw(row, value)
-                self._journal.drain()  # hydration is not news to report back
+                for shape in load_shard_shape_rows(
+                    store_path, shard, nshards, limit=SHARD_HYDRATION_LIMIT
+                ):
+                    self._interner.cons_tree(shape)
+                    self.shapes_hydrated += 1
 
     def expand(self, state_id: int, blob: str) -> tuple:
         """Expansion payload for one state: ``(candidates, queries)``.
@@ -154,11 +125,10 @@ class FrontierWorker:
     def run_batch(self, batch: list) -> bytes:
         """Expand one task batch into one pickled answer.
 
-        Newly evaluated guard entries are drained from the journal, written
-        through to the store's WAL (when one backs the exploration) and
-        packed into the answer so the coordinator can merge them either way.
-        With telemetry enabled the batch's spans and metric deltas ride in
-        the answer for the coordinator to merge.
+        The guard entries evaluated since the last batch — the tail of the
+        worker's guard cache — are packed into the answer for the
+        coordinator to merge.  With telemetry enabled the batch's spans and
+        metric deltas ride in the answer for the coordinator to merge.
         """
         obs = self.telemetry
         batch_started = obs.now()
@@ -166,14 +136,8 @@ class FrontierWorker:
         for state_id, blob in batch:
             candidates, queries = self.expand(state_id, blob)
             encoder.add_state(state_id, candidates, queries)
-        entries = self._journal.drain()
-        if entries and self._store_path is not None:
-            if obs.enabled:
-                write_started = obs.now()
-                write_guard_rows(self._store_path, entries)
-                obs.end_span("worker.write_guard_rows", write_started, rows=len(entries))
-            else:
-                write_guard_rows(self._store_path, entries)
+        entries = self._guards.entries_since(self._guards_reported)
+        self._guards_reported += len(entries)
         encoder.add_guard_entries(entries)
         if obs.enabled:
             obs.end_span(

@@ -15,13 +15,6 @@ the persistent :mod:`repro.engine.store` backends use for their rows:
   canonical representative instances *including their node identifiers* (the
   engine records transitions against representative node ids, so a resumed
   exploration must rebuild representatives id-for-id);
-* the **binary guard rows** (:func:`encode_guard_key_binary` /
-  :func:`decode_guard_key_binary`), built on a tagged term codec
-  (:func:`write_term` / :func:`read_term`) for the heterogeneous tuple keys
-  of the guard cache (tuples, frozensets, shapes, ints, strings);
-  :func:`decode_guard_row` also reads the tagged-JSON rows
-  (:func:`encode_guard_key` / :func:`decode_guard_key`) that earlier builds
-  wrote;
 * the **binary shape rows** (:func:`encode_shape_binary` /
   :func:`decode_shape_binary`) — byte for byte the shape arena's canonical
   encoding — over the :func:`write_uvarint` / :func:`read_uvarint` and
@@ -158,7 +151,7 @@ def load_guarded_form(path: "str | Path") -> GuardedForm:
 
 
 # --------------------------------------------------------------------------- #
-# engine-store codecs (shapes, representatives, guard keys, updates)
+# engine-store codecs (shapes, representatives, updates)
 # --------------------------------------------------------------------------- #
 
 _JSON_COMPACT = {"separators": (",", ":")}
@@ -223,188 +216,6 @@ def decode_instance_with_ids(text: str, schema: Schema) -> Instance:
     except (json.JSONDecodeError, TypeError, KeyError) as exc:
         raise SerializationError(f"malformed representative row: {exc}") from exc
     return Instance.from_node_specs(schema, root_spec, next_id)
-
-
-#: Tags for the non-JSON-native containers occurring in guard-cache keys.
-_TUPLE_TAG = "t"
-_FROZENSET_TAG = "f"
-
-
-def _guard_term_to_json(term):
-    if isinstance(term, tuple):
-        return [_TUPLE_TAG, *(_guard_term_to_json(item) for item in term)]
-    if isinstance(term, frozenset):
-        return [_FROZENSET_TAG, *sorted(_guard_term_to_json(item) for item in term)]
-    if term is None or isinstance(term, (str, int)):
-        return term
-    raise SerializationError(f"unsupported guard-key term {term!r}")
-
-
-def _guard_term_from_json(data):
-    if isinstance(data, list):
-        tag, *items = data
-        if tag == _TUPLE_TAG:
-            return tuple(_guard_term_from_json(item) for item in items)
-        if tag == _FROZENSET_TAG:
-            return frozenset(_guard_term_from_json(item) for item in items)
-        raise SerializationError(f"unknown guard-key container tag {tag!r}")
-    return data
-
-
-def encode_guard_key(key: tuple) -> str:
-    """Deterministic text encoding of a guard-cache key tuple.
-
-    Keys mix strings, ints, ``None``, nested shape tuples and frozenset
-    projections; tuples and frozensets are encoded as tagged JSON arrays
-    (frozensets with sorted elements, so equal keys always encode equally and
-    can serve as a primary key).
-    """
-    return json.dumps(_guard_term_to_json(key), **_JSON_COMPACT)
-
-
-def decode_guard_key(text: str) -> tuple:
-    """Inverse of :func:`encode_guard_key`."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SerializationError(f"guard row is not valid JSON: {exc}") from exc
-    key = _guard_term_from_json(data)
-    if not isinstance(key, tuple):
-        raise SerializationError(f"guard key did not decode to a tuple: {text!r}")
-    return key
-
-
-# --------------------------------------------------------------------------- #
-# binary guard-key term codec
-# --------------------------------------------------------------------------- #
-
-# Tag bytes of the guard-key term codec.
-_TERM_NONE = 0
-_TERM_FALSE = 1
-_TERM_TRUE = 2
-_TERM_INT = 3
-_TERM_STR = 4
-_TERM_TUPLE = 5
-_TERM_FROZENSET = 6
-
-
-def write_term(out: bytearray, term) -> None:
-    """Append one guard-key term: ``None``/bool/int/str/tuple/frozenset.
-
-    Signed integers use zigzag varints; frozensets are ordered by their
-    encoded bytes, so equal keys always encode identically (the property the
-    JSON guard-key codec guarantees by sorting encoded elements).
-    """
-    if term is None:
-        out.append(_TERM_NONE)
-    elif term is True:
-        out.append(_TERM_TRUE)
-    elif term is False:
-        out.append(_TERM_FALSE)
-    elif isinstance(term, int):
-        out.append(_TERM_INT)
-        write_uvarint(out, (term << 1) if term >= 0 else ((-term) << 1) - 1)
-    elif isinstance(term, str):
-        out.append(_TERM_STR)
-        write_str(out, term)
-    elif isinstance(term, tuple):
-        out.append(_TERM_TUPLE)
-        write_uvarint(out, len(term))
-        for item in term:
-            write_term(out, item)
-    elif isinstance(term, frozenset):
-        out.append(_TERM_FROZENSET)
-        write_uvarint(out, len(term))
-        encoded = []
-        for item in term:
-            item_out = bytearray()
-            write_term(item_out, item)
-            encoded.append(bytes(item_out))
-        for blob in sorted(encoded):
-            out.extend(blob)
-    else:
-        raise WireFormatError(f"unsupported guard-key term {term!r}")
-
-
-def read_term(data: bytes, pos: int) -> tuple:
-    """Read one term at *pos*; return ``(term, new pos)``."""
-    if pos >= len(data):
-        raise WireFormatError("truncated guard-key term")
-    tag = data[pos]
-    pos += 1
-    if tag == _TERM_NONE:
-        return None, pos
-    if tag == _TERM_TRUE:
-        return True, pos
-    if tag == _TERM_FALSE:
-        return False, pos
-    if tag == _TERM_INT:
-        raw, pos = read_uvarint(data, pos)
-        return (raw >> 1) ^ -(raw & 1), pos
-    if tag == _TERM_STR:
-        return read_str(data, pos)
-    if tag == _TERM_TUPLE:
-        count, pos = read_uvarint(data, pos)
-        items = []
-        for _ in range(count):
-            item, pos = read_term(data, pos)
-            items.append(item)
-        return tuple(items), pos
-    if tag == _TERM_FROZENSET:
-        count, pos = read_uvarint(data, pos)
-        items = []
-        for _ in range(count):
-            item, pos = read_term(data, pos)
-            items.append(item)
-        return frozenset(items), pos
-    raise WireFormatError(f"unknown guard-key term tag {tag}")
-
-
-#: Leading byte of a binary guard row; bumped on layout changes.  JSON guard
-#: rows always start with ``[`` (0x5B), so both formats also stay
-#: distinguishable by content, not just by sqlite column type.
-GUARD_BINARY_VERSION = 1
-
-
-def encode_guard_key_binary(key: tuple) -> bytes:
-    """Binary store-row encoding of a guard-cache key (version byte + term).
-
-    Far cheaper to decode than the tagged-JSON rows earlier builds wrote,
-    which profiles showed dominating store-backed engine hydration.  Equal
-    keys encode identically (frozensets order-normalised by
-    encoded bytes), so the encoding can serve as a primary key.
-    """
-    out = bytearray([GUARD_BINARY_VERSION])
-    write_term(out, key)
-    return bytes(out)
-
-
-def decode_guard_key_binary(data: bytes) -> tuple:
-    """Inverse of :func:`encode_guard_key_binary` (full consumption enforced)."""
-    if not data:
-        raise WireFormatError("empty binary guard row")
-    if data[0] != GUARD_BINARY_VERSION:
-        raise WireFormatError(
-            f"binary guard row has version byte {data[0]}, "
-            f"this build reads version {GUARD_BINARY_VERSION}"
-        )
-    key, pos = read_term(data, 1)
-    if pos != len(data):
-        raise WireFormatError(f"binary guard row carries {len(data) - pos} trailing bytes")
-    if not isinstance(key, tuple):
-        raise WireFormatError(f"binary guard row decoded to {type(key).__name__}, not tuple")
-    return key
-
-
-def decode_guard_row(row: "str | bytes") -> tuple:
-    """Decode a store guard-key row in either format (JSON text or binary).
-
-    Mirrors :func:`decode_shape_row`: the sqlite store writes binary rows,
-    and the read path also accepts the JSON rows of earlier builds.
-    """
-    if isinstance(row, (bytes, bytearray, memoryview)):
-        return decode_guard_key_binary(bytes(row))
-    return decode_guard_key(row)
 
 
 # --------------------------------------------------------------------------- #
@@ -566,7 +377,7 @@ def form_fingerprint(guarded_form: GuardedForm) -> str:
     """A stable digest of a guarded form's full definition.
 
     Persistent stores record it on first use and refuse to attach to a
-    different form: interned shapes, guard values and checkpoints are only
+    different form: interned shapes, representatives and checkpoints are only
     meaningful for the exact form that produced them.
     """
     canonical = json.dumps(guarded_form_to_dict(guarded_form), sort_keys=True, **_JSON_COMPACT)

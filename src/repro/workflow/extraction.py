@@ -54,8 +54,8 @@ def extract_workflow(
     under-approximation; the ``truncated`` key of the returned system's
     ``state_annotations["__meta__"]`` records whether that happened.
 
-    A persistent *store* backs the exploration (interned shapes, guard
-    values, checkpoints); *resume* continues an interrupted bounded
+    A persistent *store* backs the exploration (interned shapes,
+    representatives, checkpoints); *resume* continues an interrupted bounded
     extraction from its checkpoint.  ``workers > 1`` runs the bounded
     exploration on a frontier worker pool
     (:mod:`repro.engine.parallel`); the extracted system is identical.

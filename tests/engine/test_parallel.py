@@ -13,8 +13,6 @@ cross the process boundary; the tests assert ``states_prefetched > 0`` where
 that matters so a silently-serial parallel engine cannot pass vacuously.
 """
 
-import sqlite3
-
 import pytest
 
 from repro.analysis.completability import decide_completability
@@ -202,27 +200,6 @@ class TestParallelStoreInterplay:
         store.close()
         assert graph.states == reference.states
         assert exact_edges(graph) == exact_edges(reference)
-
-    def test_workers_write_guard_rows_through_the_wal(self, tmp_path):
-        """A fresh *serial* engine attached to the store a parallel run wrote
-        must hydrate every guard value — proof the workers synced their
-        evaluations through the sqlite WAL."""
-        form = counter_machine_family(2)[0]
-        path = tmp_path / "wal.db"
-        store = SqliteStore(path)
-        with parallel_engine(form, store=store) as engine:
-            engine.explore()
-        store.close()
-        with sqlite3.connect(path) as conn:
-            journal = conn.execute("PRAGMA journal_mode").fetchone()[0]
-            guard_rows = conn.execute("SELECT COUNT(*) FROM guards").fetchone()[0]
-        assert journal == "wal"
-        assert guard_rows > 0
-        fresh = ExplorationEngine(form, limits=BOUNDED_LIMITS, store=SqliteStore(path))
-        graph = fresh.explore()
-        assert fresh.guards.misses == 0
-        assert graph.states == ExplorationEngine(form, limits=BOUNDED_LIMITS).explore().states
-        fresh.store.close()
 
     def test_serial_checkpoint_resumes_on_the_parallel_engine(self, tmp_path):
         """Run keys ignore the worker count, so a serially interrupted

@@ -2,11 +2,10 @@
 
 Three groups of invariants gate the bounded-residency work:
 
-* **crash-mid-hydration** — an engine that fails while binding to a store
-  (corrupt guard row) or while pulling a row in on first touch (corrupt
-  shape row) must raise on *every* exploration, never silently continue
-  against a truncated id table (the historic bug set the hydrated flag
-  before restoring anything);
+* **crash-mid-hydration** — an engine that fails while pulling a row in on
+  first touch (corrupt shape row) must raise on *every* exploration, never
+  silently continue against a truncated id table (the historic bug set the
+  hydrated flag before restoring anything);
 
 * **partial hydration** — attaching to a populated store restores only the
   rows the run touches, and the ids/graphs produced are bit-identical to a
@@ -69,33 +68,6 @@ class TestCrashMidHydration:
         reset_cache_runtime()
         yield
         reset_cache_runtime()
-
-    def test_corrupt_guard_row_raises_on_every_exploration(
-        self, tmp_path, no_ambient_cache
-    ):
-        """Hydration failure must not leave a half-hydrated engine: the
-        hydrated flag is only set after every restore step succeeded, so a
-        second explore() retries the hydration and fails the same way."""
-        form = counter_machine_family(2)[0]
-        path = tmp_path / "corrupt-guard.db"
-        build_store(path, form)
-        conn = sqlite3.connect(path)
-        conn.execute(
-            "UPDATE guards SET key = 'not json at all' "
-            "WHERE key = (SELECT key FROM guards LIMIT 1)"
-        )
-        conn.commit()
-        conn.close()
-
-        store = SqliteStore(path)
-        engine = ExplorationEngine(form, limits=BUILD_LIMITS, store=store)
-        with pytest.raises(ReproError):
-            engine.explore()
-        assert not engine._hydrated  # the failure rolled the flag back
-        with pytest.raises(ReproError):
-            engine.explore()  # raises again instead of running half-hydrated
-        assert not engine._hydrated
-        store.close()
 
     def test_corrupt_shape_row_raises_on_touch_and_keeps_raising(
         self, tmp_path, no_ambient_cache

@@ -89,20 +89,6 @@ class TestDepth1StoreParity:
         )
         store.close()
 
-    @pytest.mark.parametrize("name,form", depth1_families()[:2], ids=lambda v: v if isinstance(v, str) else "")
-    def test_fresh_process_reuses_persisted_guards(self, tmp_path, name, form):
-        """A second engine on the same store serves every guard query that
-        the first engine evaluated from the hydrated cache."""
-        path = tmp_path / f"{name}.db"
-        first = ExplorationEngine(form, store=SqliteStore(path))
-        first.explore_depth1()
-        first.store.close()
-        second = ExplorationEngine(form, store=SqliteStore(path))
-        graph = second.explore_depth1()
-        assert second.guards.misses == 0
-        assert graph.states == ExplorationEngine(form).explore_depth1().states
-        second.store.close()
-
 
 class TestBoundedStoreParity:
     @pytest.mark.parametrize("name,form", bounded_families(), ids=lambda v: v if isinstance(v, str) else "")

@@ -56,7 +56,6 @@ GOLDEN_ENGINE_KEYS = {
     "guard_cache_hits": int,
     "guard_cache_misses": int,
     "guard_cache_hit_rate": float,
-    "guard_entries_restored": int,
     "guard_eval_seconds": float,
     "formula_evaluations": int,
     "formula_evaluations_saved": int,

@@ -20,10 +20,8 @@ from repro.engine.store import exploration_run_key
 from repro.analysis.results import ExplorationLimits
 from repro.benchgen.families import counter_machine_family
 from repro.io.serialization import (
-    decode_guard_key,
     decode_instance_with_ids,
     decode_shape,
-    encode_guard_key,
     encode_instance_with_ids,
     encode_shape,
 )
@@ -72,25 +70,6 @@ def test_persisted_shape_rows_roundtrip_through_sqlite(tmp_path_factory, instanc
     store.shape_cache.clear()
     assert store.get_shape(0) == shape
     store.close()
-
-
-guard_terms = st.recursive(
-    st.one_of(
-        st.integers(min_value=-(2**31), max_value=2**31),
-        st.text(alphabet="abcxyz/_0123456789", max_size=8),
-        st.none(),
-    ),
-    lambda children: st.one_of(
-        st.lists(children, max_size=3).map(tuple),
-        st.lists(st.text(alphabet="abcxyz", max_size=4), max_size=4).map(frozenset),
-    ),
-    max_leaves=8,
-)
-
-
-@given(key=st.lists(guard_terms, min_size=1, max_size=4).map(tuple))
-def test_guard_key_roundtrip(key):
-    assert decode_guard_key(encode_guard_key(key)) == key
 
 
 @given(

@@ -13,10 +13,9 @@ lists:
   unknown layout, a shape index outside the table, a state the answer does
   not carry) raise :class:`~repro.exceptions.WireFormatError` (no partial
   decodes, no silently-wrong payloads);
-* the store's **binary rows**: the guard-key term codec round-trips, the
-  binary shape rows agree with the JSON shape codec, and an actual
-  ``SqliteStore`` reads its own binary rows mixed with the JSON rows that
-  earlier builds wrote.
+* the store's **binary shape rows** agree with the JSON shape codec, and an
+  actual ``SqliteStore`` reads its own binary rows mixed with the JSON rows
+  that earlier builds wrote.
 
 The dedicated CI job runs this module with ``--hypothesis-profile=ci`` (a
 raised example budget registered in ``tests/conftest.py``).
@@ -45,8 +44,6 @@ from repro.io.serialization import (
     decode_shape_row,
     encode_shape,
     encode_shape_binary,
-    read_term,
-    write_term,
 )
 
 labels = st.text(
@@ -188,27 +185,6 @@ class TestFrameRejection:
                 frame.expansion(7)
         with pytest.raises(WireFormatError, match="state 8"):
             WireFrame(answer(states=[(7, 0, [])])).expansion(8)
-
-
-class TestGuardTermCodec:
-    @given(guard_keys)
-    def test_terms_round_trip(self, key):
-        out = bytearray()
-        write_term(out, key)
-        decoded, pos = read_term(bytes(out), 0)
-        assert pos == len(out)
-        assert decoded == key
-        # bools must come back as bools, not ints (guard values are keyed on
-        # exact term equality): compare type-tagged canonical forms, with
-        # frozensets order-normalised recursively
-        def canon(term):
-            if isinstance(term, tuple):
-                return ("tuple", tuple(canon(item) for item in term))
-            if isinstance(term, frozenset):
-                return ("frozenset", tuple(sorted((canon(item) for item in term), key=repr)))
-            return (type(term).__name__, term)
-
-        assert canon(decoded) == canon(key)
 
 
 class TestBinaryShapeRows:
