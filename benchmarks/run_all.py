@@ -878,7 +878,8 @@ def measure_store_backed(frontier: str, limits) -> dict:
     """The bounded reference workload explored through an on-disk SqliteStore.
 
     Two phases against one binary-row store: a **cold build** (fresh store,
-    every shape and representative written through — this is harness setup
+    every shape and every state's origin or representative row written
+    through — this is harness setup
     *and* a tracked figure) and the **measured re-attach** (a second engine
     on the same store, which resolves shapes through the binary-row fast
     path).  Guard values are not persisted, so the re-attached engine

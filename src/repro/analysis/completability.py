@@ -28,8 +28,10 @@ statistics, store read/write/flush counters) are surfaced under
 ``AnalysisResult.stats["engine"]``.
 
 Bounded explorations can additionally be backed by a persistent
-:class:`~repro.engine.store.StateStore` (*store*): interned shapes, canonical
-representatives and exploration checkpoints are written to disk, and an
+:class:`~repro.engine.store.StateStore` (*store*): interned shapes,
+exploration checkpoints and, per state, either its canonical representative
+or only the origin it is re-derived from on first use are written to disk,
+and an
 interrupted exploration can be picked up with *resume* instead of restarting
 — see :mod:`repro.engine.store`.  *stop_on_complete* opts into early exit:
 the bounded search returns as soon as a complete state is interned, which on

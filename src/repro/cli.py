@@ -559,7 +559,8 @@ def _cmd_store_info(args: argparse.Namespace, out) -> int:
     print(f"  form fingerprint      : {fingerprint[:16] + '…' if fingerprint else '(none)'}", file=out)
     print(f"  layout version        : {info['schema_version'] or '(none)'}", file=out)
     print(f"  interned shapes       : {info['interned_shapes']}", file=out)
-    print(f"  representatives       : {info['representatives']}", file=out)
+    print(f"  representatives (full): {info['representatives']}", file=out)
+    print(f"  origins (derivable)   : {info['representative_origins']}", file=out)
     print(f"  checkpoints           : {info['checkpoints']}", file=out)
     print(f"  resumable (unfinished): {info['resumable_checkpoints']}", file=out)
     _print_cache_info(args, out)

@@ -43,9 +43,14 @@ guard values are isomorphism-invariant.
 
 **Persistence and resume.**  The engine's working set can be backed by a
 :class:`~repro.engine.store.StateStore` (``store=``).  With a persistent
-backend (:class:`~repro.engine.store.SqliteStore`) every interned shape and
-canonical representative (node ids included) is written through in
-batches, and :meth:`ExplorationEngine.explore` checkpoints its
+backend (:class:`~repro.engine.store.SqliteStore`) every interned shape is
+written through in batches, and so is one representative row per state:
+the full instance (node ids included) for an exploration's start state, and
+for every other state only its *origin* — the state that first interned it
+and the update from there — from which any process re-derives the same
+instance, node id for node id.  A derived representative is written in full
+when it is evicted, so it reloads with one row read.
+:meth:`ExplorationEngine.explore` checkpoints its
 frontier every ``checkpoint_every`` expansions — so an interrupted
 exploration (``KeyboardInterrupt`` or an explicit ``step_limit``) can be
 picked up by a *fresh process* with ``explore(resume=True)`` and finish with
@@ -89,11 +94,13 @@ from repro.engine.interning import (
 )
 from repro.engine.store import InMemoryStore, StateStore, exploration_run_key
 from repro.engine.strategies import FrontierStrategy, completion_distance, make_strategy
-from repro.exceptions import AnalysisError, ExplorationInterrupted
+from repro.exceptions import AnalysisError, ExplorationInterrupted, StoreError
 from repro.io.serialization import (
     decode_instance_with_ids,
+    decode_representative_row,
     decode_update,
     encode_instance_with_ids,
+    encode_origin,
     encode_update,
 )
 from repro.obs import default_telemetry
@@ -455,8 +462,12 @@ class ExplorationEngine:
         #: order (front = coldest; eviction pops from the front).
         self._reps: OrderedDict = OrderedDict()
         #: StateId -> (parent StateId, Update) for states whose representative
-        #: has not been derived yet (see :meth:`representative`).
+        #: has not been derived yet (see :meth:`representative`).  A
+        #: budget-bounded engine keeps origins in its store only.
         self._pending_reps: dict = {}
+        #: Resident representatives a persistent engine derived, whose store
+        #: row is still only an origin: written in full on eviction.
+        self._reps_unwritten: set = set()
         self._shape_maps: dict = {}  # StateId -> {node_id: consed subtree Shape}
         self._expansions: dict = {}  # StateId -> (candidates, guard queries)
         self._d1_expansions: dict = {}  # frozenset -> (moves, guard queries)
@@ -506,35 +517,86 @@ class ExplorationEngine:
     def representative(self, state_id: StateId) -> Instance:
         """The canonical representative instance of a state (shared).
 
-        Served from the resident dict (refreshing its recency).  A state
-        whose representative is still pending is derived from its parent's
-        with :meth:`IncrementalShaper.successor`, which is deterministic, so
-        node ids do not depend on when it is asked for.  On a store-backed
-        engine, states not resident (hydrated lazily after a resume, or
-        evicted) are decoded from the store with their original node ids.
+        Served from the resident dict (refreshing its recency).  Otherwise
+        the state's origin — the state that first interned it and the
+        update from there — comes from the in-process pending dict or the
+        store, and is followed up to the nearest ancestor that is resident
+        or has a full store row; the representatives on that path are then
+        derived forward with :meth:`IncrementalShaper.successor`.  The
+        derivation is deterministic, so node ids depend neither on when nor
+        in which process a state is asked for.
+
+        Raises:
+            AnalysisError: the state is unknown to the engine and its store.
+            StoreError: the store's origin chain is broken (an ancestor has
+                no row, or an origin does not point at an earlier state).
+            SerializationError: a representative row is malformed.
         """
         rep = self._reps.get(state_id)
         if rep is not None:
             self._reps.move_to_end(state_id)
             return rep
-        pending = self._pending_reps.pop(state_id, None)
-        if pending is not None:
-            # the parent is resident: it was expanded, and only a persistent
-            # engine evicts, which derives every representative at discovery
-            parent_id, update = pending
-            rep, self._shape_maps[state_id], _root = self.shaper.successor(
-                self._reps[parent_id], self._shape_maps[parent_id], update
-            )
-        else:
-            blob = self.store.get_representative(state_id)
-            if blob is None:
+        # a loop, not recursion: origin chains grow with the exploration
+        # (~0.6 x the state count on counter machines)
+        chain: list = []
+        current = state_id
+        while rep is None:
+            origin = self._pending_reps.get(current)
+            if origin is None:
+                row = self._stored_representative(current, state_id)
+                if isinstance(row, Instance):
+                    rep = self._reps[current] = row
+                    break
+                origin = row
+            chain.append((current, origin))
+            current = origin[0]
+            rep = self._reps.get(current)
+        if not chain:
+            return rep
+        shape_map = self._shape_map_of(current)
+        unwritten = self._reps_unwritten if self.store.persistent else None
+        for child_id, (_parent_id, update) in reversed(chain):
+            rep, shape_map, _root = self.shaper.successor(rep, shape_map, update)
+            self._reps[child_id] = rep
+            self._shape_maps[child_id] = shape_map
+            self._pending_reps.pop(child_id, None)
+            if unwritten is not None:
+                unwritten.add(child_id)
+        return rep
+
+    def _stored_representative(self, state_id: StateId, requested: StateId):
+        """The store's row for *state_id*, decoded: its representative, or its
+        ``(parent id, update)`` origin."""
+        row = self.store.get_representative(state_id)
+        if row is None:
+            if state_id == requested:
                 raise AnalysisError(
                     f"state {state_id} has no canonical representative (not "
                     "registered by this engine and absent from its store)"
                 )
-            rep = decode_instance_with_ids(blob, self.guarded_form.schema)
-        self._reps[state_id] = rep
-        return rep
+            raise StoreError(
+                f"the origin chain of state {requested} reaches state "
+                f"{state_id}, which has no representative row"
+            )
+        decoded = decode_representative_row(row, self.guarded_form.schema)
+        if not isinstance(decoded, Instance) and decoded[0] >= state_id:
+            # ids are assigned in discovery order, so a true origin is always
+            # an earlier state; anything else could loop forever
+            raise StoreError(
+                f"the origin row of state {state_id} names state {decoded[0]}, "
+                "not an earlier state"
+            )
+        return decoded
+
+    def _record_origin(self, state_id: StateId, parent_id: StateId, update: Update) -> None:
+        """Note how a newly interned state's representative is derived: in
+        process (unless a resident budget bounds the engine) and, on a
+        persistent engine, as the state's store row — a killed run resumes
+        from it."""
+        if self.resident_budget is None:
+            self._pending_reps[state_id] = (parent_id, update)
+        if self.store.persistent:
+            self.store.put_representative(state_id, encode_origin(parent_id, update))
 
     def evict_representatives(self, keep: int = 0) -> int:
         """Drop resident representatives (and their shape maps) down to the
@@ -552,19 +614,29 @@ class ExplorationEngine:
             return 0
         evicted = 0
         while len(self._reps) > keep:
-            state_id, _ = self._reps.popitem(last=False)
-            self._shape_maps.pop(state_id, None)
+            self._evict_coldest()
             evicted += 1
-        self.reps_evicted += evicted
         return evicted
+
+    def _evict_coldest(self) -> StateId:
+        """Drop the least recently accessed representative and its shape map,
+        first writing it in full if its store row is only an origin."""
+        state_id, rep = self._reps.popitem(last=False)
+        self._shape_maps.pop(state_id, None)
+        if state_id in self._reps_unwritten:
+            self._reps_unwritten.discard(state_id)
+            self.store.put_representative(state_id, encode_instance_with_ids(rep))
+        self.reps_evicted += 1
+        return state_id
 
     def _enforce_budget(self) -> None:
         """Evict least-recently-used resident state down to the budget.
 
         Called between whole state expansions, never mid-expansion, so
         nothing the current expansion still holds can disappear under it.
-        Everything evicted is transparently recoverable: representatives and
-        full-state shapes reload from the store, shape maps and memoized
+        Everything evicted is transparently recoverable: representatives
+        (written back in full if derived) and full-state shapes reload from
+        the store, shape maps and memoized
         expansions are recomputed deterministically (same representative,
         same cached guard values, same store-stable ids), so bounded-budget
         runs stay bit-identical to unbounded ones — the residency suite pins
@@ -581,11 +653,9 @@ class ExplorationEngine:
         sweep_started = obs.now() if sweeping else 0.0
         evicted_before = self.reps_evicted
         while len(self._reps) > budget:
-            state_id, _ = self._reps.popitem(last=False)
-            self._shape_maps.pop(state_id, None)
+            state_id = self._evict_coldest()
             if self._expansions.pop(state_id, None) is not None:
                 self.expansions_evicted += 1
-            self.reps_evicted += 1
         self.interner.evict_states(keep=budget)
         if sweeping:
             obs.metrics.counter("eviction_sweeps").inc()
@@ -885,18 +955,12 @@ class ExplorationEngine:
         self, parent_id: StateId, instance: Instance, shape_map: dict, update: Update
     ) -> StateId:
         # Derive the root shape alone (no instance copy, no successor shape
-        # map); a fresh state only records how to derive its representative,
-        # since most are never expanded.  A persistent store needs the
-        # representative row at discovery (a killed run resumes from it), so
-        # there the derivation happens straight away, after the shape row.
+        # map); a fresh state only records its origin, since most are never
+        # expanded — its representative is derived on first use.
         root_shape = self.shaper.successor_shape(instance, shape_map, update)
         state_id, is_new = self.interner.state_id(root_shape)
         if is_new:
-            self._pending_reps[state_id] = (parent_id, update)
-            if self.store.persistent:
-                self.store.put_representative(
-                    state_id, encode_instance_with_ids(self.representative(state_id))
-                )
+            self._record_origin(state_id, parent_id, update)
         return state_id
 
     def complete_ids(self, graph: EngineGraph) -> set:

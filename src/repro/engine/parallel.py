@@ -20,9 +20,10 @@ benchgen family:
 * state ids are assigned by the coordinator only, in the serial engine's
   pop/candidate order (workers never intern; they return shape-table
   indices);
-* a genuinely new successor's canonical representative is derived *by the
-  coordinator* from the parent representative with the exact incremental
-  derivation the serial engine uses
+* a genuinely new successor records the same origin (parent id, update) the
+  serial engine records, and its canonical representative is derived *by the
+  coordinator*, on first use, with the exact incremental derivation the
+  serial engine uses
   (:meth:`~repro.engine.interning.IncrementalShaper.successor`) — node ids,
   child order and the id counter included — so nothing about a state depends
   on which process first saw it;
@@ -321,10 +322,11 @@ class ParallelExplorationEngine(ExplorationEngine):
         serial engine's ``_expand`` would intern them — which keeps the dense
         id assignment (including ids for candidates a limit later filters
         out) bit-identical to a serial run.  A successor new to the interner
-        gets its canonical representative derived from the parent
-        representative straight away, exactly as
-        :meth:`ExplorationEngine.representative` derives a pending one; known
-        successors cost a shape-table lookup only.
+        has its root shape re-derived from the parent representative (the
+        drift check against the worker's table entry) and records its
+        origin, exactly as the serial engine's discovery does, so its
+        representative is derived on first use; known successors cost a
+        shape-table lookup only.
         """
         interner = self.interner
         rows = frame.shape_rows(interner.arena)
@@ -336,26 +338,19 @@ class ParallelExplorationEngine(ExplorationEngine):
         for update, shape_index, is_addition, succ_size, copies in raw_candidates:
             succ_id, is_new = interner.state_id_row(rows[shape_index])
             if is_new:
-                successor, succ_map, root = self.shaper.successor(
-                    parent, parent_map, update
-                )
+                root = self.shaper.successor_shape(parent, parent_map, update)
                 if interner.arena.intern_cons(root) != rows[shape_index]:
                     # the arena deduplicates rows by shape, so row equality
                     # is exactly shape equality: the worker-computed table
                     # entry and the coordinator-derived root must land on
-                    # the same row.  Inequality means the two derivations
-                    # (successor / successor_shape) drifted and the graph
-                    # would silently corrupt
+                    # the same row.  Inequality means the worker's and the
+                    # coordinator's derivations drifted and the graph would
+                    # silently corrupt
                     raise AnalysisError(
                         f"wire shape for state {succ_id} does not match the "
                         "coordinator-derived successor shape (shaper drift)"
                     )
-                self._reps[succ_id] = successor
-                self._shape_maps[succ_id] = succ_map
-                if self.store.persistent:
-                    self.store.put_representative(
-                        succ_id, encode_instance_with_ids(successor)
-                    )
+                self._record_origin(succ_id, state_id, update)
             candidates.append((update, succ_id, is_addition, succ_size, copies))
         self._expansions[state_id] = (candidates, guard_queries)
         self.guards.credit_reuse(guard_queries)

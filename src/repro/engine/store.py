@@ -6,11 +6,15 @@ by default, which caps ``max_states`` at whatever fits in RAM and ties an
 exploration to one process.  This module puts a storage protocol underneath:
 
 * :class:`StateStore` — the backend interface.  The engine *writes through*
-  to it (every newly interned shape and registered representative is offered
-  to the store) and *hydrates* from it on construction, so a fresh process
-  attached to a populated store resumes with the exact state ids and
-  representatives (node-id-for-node-id) of the process that wrote it.  Guard
-  values are not persisted: they are compiled-rule evaluations, cheaper to
+  to it (every newly interned shape, and one representative row per state)
+  and *hydrates* from it on construction, so a fresh process attached to a
+  populated store resumes with the exact state ids and representatives
+  (node-id-for-node-id) of the process that wrote it.  A representative row
+  is either the full instance (an exploration's start state, or a derived
+  representative written back on eviction) or only the state's *origin* —
+  the state that first interned it and the update from there — from which
+  the engine re-derives the identical instance on first use.  Guard values
+  are not persisted: they are compiled-rule evaluations, cheaper to
   recompute in the resuming process than to encode, write and restore.
 
 * :class:`InMemoryStore` — the extracted default behaviour.  Nothing is
@@ -29,7 +33,8 @@ exploration to one process.  This module puts a storage protocol underneath:
   wrong form.  Shape rows are written as the shape arena's canonical binary
   encoding; the read path also decodes the JSON rows that earlier builds
   wrote, so their stores still attach and resume.  The ``guards`` table such
-  stores may hold is never read.
+  stores may hold is never read, and their representative rows — a full
+  instance for every state — read like any other full row.
 
 Checkpoints are keyed by a digest of the exploration parameters (start
 shape, limits, strategy, early-exit flag), so several explorations — e.g.
@@ -61,6 +66,7 @@ from repro.engine.sqlite_base import (  # noqa: F401  (re-exported: old import p
 )
 from repro.exceptions import StoreError
 from repro.io.serialization import (
+    ORIGIN_ROW_PREFIX,
     decode_shape_binary,
     decode_shape_row,
     encode_shape,
@@ -173,10 +179,12 @@ class StateStore:
     # -- canonical representatives ------------------------------------- #
 
     def put_representative(self, state_id: StateId, blob: str) -> None:
-        """Record the serialised canonical representative of a state."""
+        """Record a state's representative row: its serialised canonical
+        representative, or its serialised origin (see
+        :func:`~repro.io.serialization.decode_representative_row`)."""
 
     def get_representative(self, state_id: StateId) -> Optional[str]:
-        """The serialised representative of a state, or ``None``."""
+        """The representative row of a state, or ``None``."""
         return None
 
     # -- exploration checkpoints --------------------------------------- #
@@ -650,6 +658,10 @@ class SqliteStore(SqliteBacked, StateStore):
             table: self._conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
             for table in ("shapes", "representatives", "checkpoints")
         }
+        origins = self._conn.execute(
+            "SELECT COUNT(*) FROM representatives WHERE substr(blob, 1, 1) = ?",
+            (ORIGIN_ROW_PREFIX,),
+        ).fetchone()[0]
         pending = [
             run_key
             for run_key, payload in self._conn.execute(
@@ -665,7 +677,8 @@ class SqliteStore(SqliteBacked, StateStore):
             "form_fingerprint": self._get_meta("form_fingerprint"),
             "schema_version": self._get_meta("schema_version"),
             "interned_shapes": counts["shapes"],
-            "representatives": counts["representatives"],
+            "representatives": counts["representatives"] - origins,
+            "representative_origins": origins,
             "checkpoints": counts["checkpoints"],
             "resumable_checkpoints": len(pending),
         }

@@ -15,9 +15,9 @@ candidate the update, an index into the answer's **per-batch shape table**
 (each distinct successor root shape listed once), the successor size and
 the pre-update sibling-copy count.  Successor representatives are *not*
 shipped: the coordinator owns the parent representative it sent with the
-task and derives a genuinely-new successor's representative itself, with
-the same incremental derivation the serial engine uses — node id for node
-id.
+task and derives a genuinely-new successor's representative itself, on
+first use, with the same incremental derivation the serial engine uses —
+node id for node id.
 
 Workers never intern canonical state ids: interning order determines the
 engine's dense id assignment, and keeping it on the coordinator (which merges

@@ -25,6 +25,10 @@ the persistent :mod:`repro.engine.store` backends use for their rows:
   reverse-lookup column;
 * :func:`encode_update` / :func:`decode_update` — the leaf additions and
   deletions stored in exploration checkpoints;
+* :func:`encode_origin` / :func:`decode_origin` — a state's origin (the
+  state that first interned it and the update from there), which the
+  engine stores in place of a representative it has not derived;
+  :func:`decode_representative_row` reads either kind of row;
 * :func:`form_fingerprint` — a digest of a guarded form's definition, used by
   the stores to refuse resuming against the wrong form.
 """
@@ -360,17 +364,64 @@ def encode_update(update: Update) -> list:
     raise SerializationError(f"unsupported update {update!r}")
 
 
+def _is_id(value) -> bool:
+    return type(value) is int and value >= 0
+
+
 def decode_update(data: list) -> Update:
-    """Inverse of :func:`encode_update`."""
-    try:
+    """Inverse of :func:`encode_update`.
+
+    Raises:
+        SerializationError: for anything :func:`encode_update` cannot
+            produce (wrong arity, a non-integer node id, a non-string label,
+            an unknown kind).
+    """
+    if isinstance(data, list) and data:
         kind = data[0]
         if kind == "add":
-            return Addition(data[1], data[2])
-        if kind == "del":
-            return Deletion(data[1])
-    except (TypeError, IndexError) as exc:
-        raise SerializationError(f"malformed update encoding {data!r}") from exc
-    raise SerializationError(f"unknown update kind {data!r}")
+            if len(data) == 3 and _is_id(data[1]) and isinstance(data[2], str):
+                return Addition(data[1], data[2])
+        elif kind == "del":
+            if len(data) == 2 and _is_id(data[1]):
+                return Deletion(data[1])
+        else:
+            raise SerializationError(f"unknown update kind {data!r}")
+    raise SerializationError(f"malformed update encoding {data!r}")
+
+
+#: First character of an origin row; a full representative row is a JSON
+#: object, so it starts with ``{``.
+ORIGIN_ROW_PREFIX = "["
+
+
+def encode_origin(parent_id: int, update: Update) -> str:
+    """Serialise a state's origin: the state that first interned it and the
+    update leading from that state's representative to this one's.
+
+    A JSON array, so it never collides with an
+    :func:`encode_instance_with_ids` row (a JSON object) in the same column.
+    """
+    return json.dumps([parent_id, *encode_update(update)], **_JSON_COMPACT)
+
+
+def decode_origin(text: str) -> tuple[int, Update]:
+    """Inverse of :func:`encode_origin`: ``(parent state id, update)``."""
+    try:
+        data = json.loads(text)
+    except (TypeError, ValueError) as exc:
+        raise SerializationError(f"malformed origin row: {exc}") from exc
+    if not isinstance(data, list) or not data or not _is_id(data[0]):
+        raise SerializationError(f"malformed origin row {text!r}")
+    return data[0], decode_update(data[1:])
+
+
+def decode_representative_row(text: str, schema: Schema) -> Instance | tuple[int, Update]:
+    """A store's representative row: the full instance
+    (:func:`decode_instance_with_ids`) or the state's origin
+    (:func:`decode_origin`), told apart by the row's first character."""
+    if isinstance(text, str) and text.startswith(ORIGIN_ROW_PREFIX):
+        return decode_origin(text)
+    return decode_instance_with_ids(text, schema)
 
 
 def form_fingerprint(guarded_form: GuardedForm) -> str:

@@ -7,6 +7,10 @@ check that a fresh engine attaches to it, finds states by reverse lookup,
 resumes the interrupted exploration, and answers exactly as a fresh
 in-memory run.
 
+Earlier builds also wrote a full representative row for every state they
+interned; the store now writes most states' origin only.  A store whose
+every representative row is rewritten in full resumes bit-identically too.
+
 Earlier builds also persisted guard evaluations in a ``guards`` table, as
 tagged JSON or binary rows.  The store no longer creates that table, and
 never reads it when a store carries one: whatever its rows hold, a resumed
@@ -26,7 +30,11 @@ from repro.benchgen.families import counter_machine_family, positive_deep_family
 from repro.cli import main
 from repro.engine import ExplorationEngine, ParallelExplorationEngine, SqliteStore
 from repro.exceptions import ExplorationInterrupted
-from repro.io.serialization import decode_shape_binary, encode_shape
+from repro.io.serialization import (
+    decode_shape_binary,
+    encode_instance_with_ids,
+    encode_shape,
+)
 from tests.engine.test_residency import assert_bit_identical
 
 LIMITS = ExplorationLimits(max_states=600, max_instance_nodes=16)
@@ -178,3 +186,52 @@ def test_legacy_guard_table_is_never_read(tmp_path):
     conn = sqlite3.connect(path)
     assert conn.execute("SELECT key, value FROM guards").fetchall() == LEGACY_GUARD_ROWS
     conn.close()
+
+
+def rewrite_representative_rows_in_full(path, form) -> int:
+    """Replace every representative row of the store at *path* — origins
+    included — by the full encoding of the state's representative, as
+    earlier builds laid the table out; returns the number of rows."""
+    conn = sqlite3.connect(path)
+    ids = [sid for (sid,) in conn.execute("SELECT id FROM representatives")]
+    store = SqliteStore(path)
+    engine = ExplorationEngine(form, limits=LIMITS, store=store)
+    rows = [(encode_instance_with_ids(engine.representative(sid)), sid) for sid in ids]
+    store.close()
+    conn.executemany("UPDATE representatives SET blob = ? WHERE id = ?", rows)
+    conn.commit()
+    conn.close()
+    return len(rows)
+
+
+def test_full_representative_rows_resume_bit_identically(tmp_path):
+    form = positive_deep_family(3, width=2)
+    path = tmp_path / "full-rows.db"
+    shapes = interrupted_store(path, form, step_limit=100)
+    store = SqliteStore(path)
+    info = store.describe()
+    store.close()
+    # only the start state has a full row; every other state its origin
+    assert info["representatives"] == 1
+    assert info["representative_origins"] == len(shapes) - 1
+
+    rows = rewrite_representative_rows_in_full(path, form)
+    assert rows == len(shapes)
+    out = io.StringIO()
+    assert main(["store", "info", str(path)], out=out) == 0
+    assert f"representatives (full): {rows}" in out.getvalue()
+    assert "origins (derivable)   : 0" in out.getvalue()
+
+    reference_engine = ExplorationEngine(form, limits=LIMITS)
+    reference = reference_engine.explore()
+    engine = ExplorationEngine(form, limits=LIMITS, store=SqliteStore(path))
+    resumed = engine.explore(resume=True)
+    try:
+        assert resumed.resumed is True
+        assert_bit_identical(resumed, reference)
+        for state_id in sorted(reference.states):
+            assert encode_instance_with_ids(
+                engine.representative(state_id)
+            ) == encode_instance_with_ids(reference_engine.representative(state_id))
+    finally:
+        engine.store.close()

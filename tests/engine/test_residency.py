@@ -17,6 +17,7 @@ Three groups of invariants gate the bounded-residency work:
 """
 
 import sqlite3
+import sys
 
 import pytest
 
@@ -31,8 +32,9 @@ from repro.engine import (
     SqliteStore,
     stable_shape_hash,
 )
-from repro.exceptions import ReproError
+from repro.exceptions import ReproError, SerializationError, StoreError
 from repro.fbwis.catalog import leave_application
+from repro.io.serialization import decode_origin, encode_instance_with_ids
 from tests.engine.test_eviction_and_guided import exact_edges
 
 BUILD_LIMITS = ExplorationLimits(max_states=1_500, max_instance_nodes=16)
@@ -92,6 +94,98 @@ class TestCrashMidHydration:
                 engine.explore()
         assert 0 not in engine.interner._shapes  # never restored a bad row
         store.close()
+
+    @pytest.mark.parametrize(
+        "damage", ["truncated", "unknown-kind", "missing-ancestor", "later-ancestor"]
+    )
+    def test_corrupt_origin_row_raises_on_touch_and_keeps_raising(self, tmp_path, damage):
+        """A damaged origin chain surfaces as a typed error whenever a state
+        whose representative derives through it is touched — never as an
+        IndexError, KeyError or RecursionError, and never by deriving a
+        representative from the wrong ancestor."""
+        form = positive_deep_family(3, width=2)
+        path = tmp_path / f"corrupt-origin-{damage}.db"
+        build_store(path, form, limits=TOUCH_LIMITS)
+        conn = sqlite3.connect(path)
+        origins = {
+            sid: decode_origin(blob)[0]
+            for sid, blob in conn.execute("SELECT id, blob FROM representatives")
+            if blob.startswith("[")
+        }
+        # a state whose origin is itself an origin row, and a child of it
+        state_id = next(sid for sid, parent in sorted(origins.items()) if parent in origins)
+        child_id = next(sid for sid, parent in sorted(origins.items()) if parent == state_id)
+        if damage == "truncated":
+            conn.execute(
+                "UPDATE representatives SET blob = substr(blob, 1, length(blob) - 2) "
+                "WHERE id = ?",
+                (state_id,),
+            )
+        elif damage == "unknown-kind":
+            conn.execute(
+                "UPDATE representatives SET blob = ? WHERE id = ?",
+                (f'[{origins[state_id]},"move",1]', state_id),
+            )
+        elif damage == "missing-ancestor":
+            conn.execute("DELETE FROM representatives WHERE id = ?", (origins[state_id],))
+        else:  # an origin naming the state's own child: a cycle
+            conn.execute(
+                "UPDATE representatives SET blob = ? WHERE id = ?",
+                (f'[{child_id},"del",1]', state_id),
+            )
+        conn.commit()
+        conn.close()
+
+        store = SqliteStore(path)
+        engine = ExplorationEngine(form, limits=TOUCH_LIMITS, store=store)
+        for touched in (state_id, child_id, state_id):
+            with pytest.raises((SerializationError, StoreError)):
+                engine.representative(touched)
+        assert state_id not in engine._reps and child_id not in engine._reps
+        store.close()
+
+    def test_deep_origin_chain_derives_without_recursion(self, tmp_path):
+        """A fresh engine derives the deepest state of a counter machine —
+        152 origin rows above its start state — under a recursion limit
+        lower than that depth: the ancestor walk is a loop."""
+        form = counter_machine_family(8)[0]
+        limits = ExplorationLimits(max_states=251)
+        path = tmp_path / "deep.db"
+        build_store(path, form, limits=limits)
+        conn = sqlite3.connect(path)
+        rows = dict(conn.execute("SELECT id, blob FROM representatives"))
+        conn.close()
+
+        def depth(state_id):
+            steps = 0
+            while rows[state_id].startswith("["):
+                state_id = decode_origin(rows[state_id])[0]
+                steps += 1
+            return steps
+
+        deepest = max(rows, key=depth)
+        assert depth(deepest) == 152
+        reference = ExplorationEngine(form, limits=limits)
+        reference.explore()
+        expected = encode_instance_with_ids(reference.representative(deepest))
+
+        store = SqliteStore(path)
+        engine = ExplorationEngine(form, limits=limits, store=store)
+        frames = 0
+        frame = sys._getframe()
+        while frame is not None:
+            frames += 1
+            frame = frame.f_back
+        limit = frames + 60
+        assert limit < depth(deepest)
+        previous = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit)
+        try:
+            derived = engine.representative(deepest)
+        finally:
+            sys.setrecursionlimit(previous)
+            store.close()
+        assert encode_instance_with_ids(derived) == expected
 
 
 class TestPartialHydration:
@@ -157,6 +251,30 @@ class TestResidentBudget:
         assert stats["reps_resident"] <= budget
         assert stats["states_resident"] <= budget
         assert stats["reps_evicted"] > 0  # the budget actually did something
+
+    def test_evicted_derived_representatives_are_written_in_full(self, tmp_path):
+        """A representative derived from an origin row is written back in
+        full when the budget evicts it, so it reloads with one row read;
+        states never derived keep their origin row only."""
+        form = positive_deep_family(3, width=2)
+        path = tmp_path / "write-back.db"
+        store = SqliteStore(path)
+        engine = ExplorationEngine(form, limits=TOUCH_LIMITS, store=store, resident_budget=8)
+        graph = engine.explore()
+        info = store.describe()
+        store.close()
+        conn = sqlite3.connect(path)
+        rows = dict(conn.execute("SELECT id, blob FROM representatives"))
+        conn.close()
+        origins = {state_id for state_id, blob in rows.items() if blob.startswith("[")}
+        assert (info["representatives"], info["representative_origins"]) == (
+            len(rows) - len(origins),
+            len(origins),
+        )
+        evicted = set(graph.transitions) - set(engine._reps)
+        assert evicted and not evicted & origins
+        never_used = set(rows) - set(graph.transitions) - set(engine._reps)
+        assert never_used and never_used <= origins
 
     def test_budgeted_build_from_scratch_is_bit_identical(self, tmp_path):
         """Eviction during the *building* run (new states evicted and then

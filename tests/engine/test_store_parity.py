@@ -27,6 +27,8 @@ from repro.benchgen.families import (
 from repro.engine import ExplorationEngine, SqliteStore
 from repro.exceptions import ExplorationInterrupted, StoreError
 from repro.fbwis.catalog import leave_application
+from repro.io.serialization import decode_origin, encode_instance_with_ids
+from tests.engine.test_eviction_and_guided import exact_edges
 
 BOUNDED_LIMITS = ExplorationLimits(max_states=2_000, max_instance_nodes=16)
 
@@ -260,6 +262,59 @@ class TestKillAndResume:
 
         assert exact_edges(resumed) == exact_edges(reference)
         second.store.close()
+
+    @pytest.mark.parametrize(
+        "name,form",
+        [
+            ("positive-deep", positive_deep_family(3, width=2)),
+            ("qsat-semisoundness", qsat_semisoundness_family(1, seed=1)[0]),
+        ],
+        ids=lambda v: v if isinstance(v, str) else "",
+    )
+    def test_witness_node_ids_identical_after_shared_store_resume(self, tmp_path, name, form):
+        """A second exploration (B) on a shared store starts from a state of
+        the first (A), so many of B's states were interned by A under other
+        parents than B's graph records.  Interrupted and resumed in a fresh
+        engine + store handle, B still matches an uninterrupted shared engine
+        node id for node id: representatives derive from the parent that
+        first interned a state, never from B's graph parent."""
+        limits = ExplorationLimits(max_states=150, max_instance_nodes=16)
+        reference_engine = ExplorationEngine(form, limits=limits)
+        first = reference_engine.explore()
+        start_id = max(first.states)
+        start = first.instance_of(start_id)
+        reference = reference_engine.explore(start=start)
+
+        path = tmp_path / f"{name}-shared.db"
+        engine = ExplorationEngine(form, limits=limits, store=SqliteStore(path))
+        engine.explore()
+        with pytest.raises(ExplorationInterrupted):
+            engine.explore(start=start, step_limit=40)
+        engine.store.close()
+
+        store = SqliteStore(path)
+        fresh = ExplorationEngine(form, limits=limits, store=store)
+        resumed = fresh.explore(start=start, resume=True)
+        try:
+            assert resumed.resumed
+            assert resumed.states == reference.states
+            assert exact_edges(resumed) == exact_edges(reference)
+            for state_id in sorted(reference.states):
+                assert encode_instance_with_ids(
+                    fresh.representative(state_id)
+                ) == encode_instance_with_ids(reference_engine.representative(state_id))
+            # the scenario is not vacuous: some origins are not graph parents
+            interning_parents = {
+                state_id: decode_origin(row)[0]
+                for state_id in resumed.parents
+                if (row := store.get_representative(state_id)).startswith("[")
+            }
+            assert any(
+                interning_parents.get(state_id, parent) != parent
+                for state_id, (parent, _update) in resumed.parents.items()
+            )
+        finally:
+            store.close()
 
 
 class TestStoreSafety:

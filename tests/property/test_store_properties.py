@@ -4,25 +4,36 @@ Two invariants gate the store:
 
 * **round-trip identity** — persisting and re-loading a shape (or a
   representative instance) is the identity up to tree isomorphism, and the
-  id-preserving instance codec is the identity on node ids as well;
+  id-preserving instance codec is the identity on node ids as well; a
+  state's origin row round-trips exactly, is never mistaken for a full
+  representative row, and any malformed row is rejected with
+  :class:`~repro.exceptions.SerializationError`;
 
 * **id stability** — however persists, cache evictions, flushes and
   re-opens interleave, an interner backed by the store never changes the id
   it assigns to a shape.
 """
 
+import json
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.guarded_form import Addition, Deletion
 from repro.core.instance import Instance
 from repro.engine import ExplorationEngine, LRUCache, ShapeInterner, SqliteStore
 from repro.engine.store import exploration_run_key
 from repro.analysis.results import ExplorationLimits
 from repro.benchgen.families import counter_machine_family
+from repro.exceptions import SerializationError
 from repro.io.serialization import (
     decode_instance_with_ids,
+    decode_origin,
+    decode_representative_row,
     decode_shape,
     encode_instance_with_ids,
+    encode_origin,
     encode_shape,
 )
 
@@ -56,6 +67,65 @@ def test_representative_roundtrip_preserves_node_ids(instance):
     assert decoded.next_node_id() == instance.next_node_id()
     for node in instance.nodes():
         assert decoded.node(node.node_id).label == node.label
+
+
+node_ids = st.integers(min_value=0, max_value=2**40)
+updates = st.one_of(
+    st.builds(Addition, node_ids, st.text(max_size=12)),
+    st.builds(Deletion, node_ids),
+)
+
+
+@given(parent_id=node_ids, update=updates, instance=instances())
+def test_origin_rows_roundtrip_and_never_read_as_representatives(parent_id, update, instance):
+    row = encode_origin(parent_id, update)
+    assert decode_origin(row) == (parent_id, update)
+    assert decode_representative_row(row, instance.schema) == (parent_id, update)
+    full = encode_instance_with_ids(instance)
+    decoded = decode_representative_row(full, instance.schema)
+    assert isinstance(decoded, Instance)
+    assert encode_instance_with_ids(decoded) == full
+
+
+@given(parent_id=node_ids, update=updates, data=st.data())
+def test_truncated_origin_rows_are_rejected(parent_id, update, data):
+    row = encode_origin(parent_id, update)
+    cut = data.draw(st.integers(min_value=0, max_value=len(row) - 1))
+    with pytest.raises(SerializationError):
+        decode_origin(row[:cut])
+
+
+@given(
+    parent_id=node_ids,
+    update=updates,
+    bad=st.sampled_from(
+        [
+            lambda p, body: [p, "move", *body[1:]],  # unknown update kind
+            lambda p, body: [p, *body, 0],  # extra field
+            lambda p, body: [p, *body[:-1]],  # missing field
+            lambda p, body: [-1 - p, *body],  # negative parent id
+            lambda p, body: [str(p), *body],  # parent id of the wrong type
+            lambda p, body: [float(p), *body],
+            lambda p, body: [p, body[0], str(body[1]), *body[2:]],  # node id of the wrong type
+            lambda p, body: [p, body[0], True, *body[2:]],
+            lambda p, body: {"parent": p, "update": body},  # not an array
+            lambda p, body: [],
+        ]
+    ),
+)
+def test_malformed_origin_rows_are_rejected(parent_id, update, bad):
+    body = json.loads(encode_origin(parent_id, update))[1:]
+    with pytest.raises(SerializationError):
+        decode_origin(json.dumps(bad(parent_id, body)))
+
+
+@given(text=st.text(max_size=40))
+def test_arbitrary_origin_text_decodes_or_raises_the_typed_error(text):
+    try:
+        parent_id, update = decode_origin(text)
+    except SerializationError:
+        return
+    assert decode_origin(encode_origin(parent_id, update)) == (parent_id, update)
 
 
 @given(instance=instances())
