@@ -33,10 +33,12 @@ exploration checkpoints and, per state, either its canonical representative
 or only the origin it is re-derived from on first use are written to disk,
 and an
 interrupted exploration can be picked up with *resume* instead of restarting
-— see :mod:`repro.engine.store`.  *stop_on_complete* opts into early exit:
-the bounded search returns as soon as a complete state is interned, which on
-completable forms can skip most of the budget (negative and undecided
-answers are unaffected — they only arise when no early exit happened).
+— see :mod:`repro.engine.store`.  The depth-1 search writes only checkpoints
+there, when a *step_limit* slices it.  *stop_on_complete* opts into early
+exit: the bounded and depth-1 searches return as soon as a complete state is
+discovered, which on completable forms can skip most of the work (negative
+and undecided answers are unaffected — they only arise when no early exit
+happened).
 
 For positive access rules the bounded search is *complete* when the sibling
 copy bound is at least the size of the completion formula: the witness
@@ -155,6 +157,10 @@ def completability_depth1(
     store: Optional[StateStore] = None,
     workers: int = 1,
     resident_budget: Optional[int] = None,
+    *,
+    resume: bool = False,
+    stop_on_complete: bool = False,
+    step_limit: Optional[int] = None,
 ) -> AnalysisResult:
     """Exact completability for depth-1 guarded forms (Theorem 4.6).
 
@@ -162,36 +168,51 @@ def completability_depth1(
     the root, Lemma 4.3) and reports whether any of them satisfies the
     completion formula.  Always terminates; worst case ``2^n`` states, but
     the engine's support-projected guard cache shares formula evaluations
-    across states that agree on the labels a rule can observe.  A persistent
-    *store* is accepted but carries nothing between processes: depth-1
-    explorations are not checkpointed (their canonical states are cheap to
-    re-enumerate) and guard values stay in memory.  *workers* is accepted
-    for dispatch symmetry:
-    canonical depth-1 states are label sets, far cheaper to expand than to
+    across states that agree on the labels a rule can observe.
+
+    *stop_on_complete* stops the exploration at the first complete state it
+    discovers (opt-in, as on the bounded path; the stats then carry
+    ``stopped_on_complete``).  *step_limit* slices the exploration: after
+    that many expansions it checkpoints into the engine's store (in memory
+    or persistent) and raises
+    :class:`~repro.exceptions.ExplorationInterrupted`, and an identical call
+    with *resume* continues it.  The store holds nothing else of a depth-1
+    run: its canonical states are masks, re-derived from the checkpoint, and
+    guard values stay in memory.  *workers* is accepted for dispatch
+    symmetry: canonical depth-1 states are far cheaper to expand than to
     ship to a worker process, so the exploration itself stays serial on a
     parallel engine too.
     """
     owns_engine = engine is None
     engine = engine_for(guarded_form, engine, frontier, store=store, workers=workers, resident_budget=resident_budget)
     try:
-        graph = engine.explore_depth1(start=start, strategy=frontier)
+        graph = engine.explore_depth1(
+            start=start,
+            strategy=frontier,
+            stop_on_complete=stop_on_complete,
+            resume=resume,
+            step_limit=step_limit,
+        )
         complete_states = engine.complete_depth1_states(graph)
         reachable = graph.reachable_from(graph.initial)
         witnesses = sorted(reachable & complete_states, key=sorted)
         answer = bool(witnesses)
         witness_run = graph.run_to(witnesses[0]) if witnesses else None
+        stats = {
+            "canonical_states": len(graph.states),
+            "complete_states": len(complete_states & reachable),
+            "transitions": transition_count(graph),
+        }
+        if stop_on_complete:
+            stats["stopped_on_complete"] = graph.stopped_on_complete
+        stats["engine"] = engine.stats_snapshot()
         return AnalysisResult(
             problem=_PROBLEM,
             decided=True,
             answer=answer,
             procedure="depth1_canonical_search",
             witness_run=witness_run,
-            stats={
-                "canonical_states": len(graph.states),
-                "complete_states": len(complete_states & reachable),
-                "transitions": transition_count(graph),
-                "engine": engine.stats_snapshot(),
-            },
+            stats=stats,
         )
     finally:
         if owns_engine:
@@ -332,21 +353,23 @@ def decide_completability(
             the same form.
         store: a :class:`~repro.engine.store.StateStore` backing a freshly
             built engine (ignored when *engine* is supplied — that engine
-            keeps its own store).  Only the bounded procedure writes to it
-            (shapes, representatives, checkpoints); the saturation and
-            depth-1 procedures persist nothing.
-        resume: continue the bounded exploration from the checkpoint an
-            identically parameterised earlier run saved in the store.
-        stop_on_complete: let the bounded exploration return as soon as a
-            complete state is found (early exit; default off, pinned by the
-            parity tests).
+            keeps its own store).  The bounded procedure writes shapes,
+            representatives and checkpoints to it, the depth-1 procedure
+            only the checkpoints of sliced runs (*step_limit*), and the
+            saturation procedure nothing.
+        resume: continue the bounded or depth-1 exploration from the
+            checkpoint an identically parameterised earlier run saved in the
+            store.
+        stop_on_complete: let the bounded or depth-1 exploration return as
+            soon as a complete state is found (early exit; default off,
+            pinned by the parity tests).
         workers: number of frontier worker processes for the bounded
             procedure (``1`` — the default — keeps the serial engine; the
             parallel engine's answers are bit-identical, see
             :mod:`repro.engine.parallel`).
-        step_limit: state-expansion budget per call for the bounded
-            procedure (checkpoint + :class:`ExplorationInterrupted` when
-            exhausted; resume to continue).
+        step_limit: state-expansion budget per call for the bounded and
+            depth-1 procedures (checkpoint + :class:`ExplorationInterrupted`
+            when exhausted; resume to continue).
         request: a single :class:`~repro.service.AnalysisRequest` of kind
             ``"completability"`` carrying the whole configuration instead
             of the keyword surface; the call becomes a thin shim over
@@ -362,9 +385,16 @@ def decide_completability(
         return completability_by_saturation(guarded_form, start)
     if strategy == "depth1":
         return completability_depth1(
-            guarded_form, start, frontier=frontier, engine=engine, store=store,
+            guarded_form,
+            start,
+            frontier=frontier,
+            engine=engine,
+            store=store,
             workers=workers,
             resident_budget=resident_budget,
+            resume=resume,
+            stop_on_complete=stop_on_complete,
+            step_limit=step_limit,
         )
     if strategy == "bounded":
         return completability_bounded(
@@ -388,9 +418,16 @@ def decide_completability(
         return completability_by_saturation(guarded_form, start)
     if guarded_form.schema_depth() <= 1:
         return completability_depth1(
-            guarded_form, start, frontier=frontier, engine=engine, store=store,
+            guarded_form,
+            start,
+            frontier=frontier,
+            engine=engine,
+            store=store,
             workers=workers,
             resident_budget=resident_budget,
+            resume=resume,
+            stop_on_complete=stop_on_complete,
+            step_limit=step_limit,
         )
     if fragment.positive_access:
         copy_bound = positive_rules_copy_bound(guarded_form)

@@ -54,19 +54,25 @@ def semisoundness_depth1(
     store: Optional[StateStore] = None,
     workers: int = 1,
     resident_budget: Optional[int] = None,
+    *,
+    resume: bool = False,
+    step_limit: Optional[int] = None,
 ) -> AnalysisResult:
     """Exact semi-soundness for depth-1 guarded forms.
 
     The reachable canonical states are enumerated once; the form is semi-sound
     iff every reachable state can reach a state satisfying the completion
-    formula (a backward-closure computation on the same graph).  *workers* is
-    accepted for dispatch symmetry; the canonical-state enumeration stays
+    formula (a backward-closure computation on the same graph).  *step_limit*
+    and *resume* slice the enumeration through the engine's store, and
+    *workers* is accepted for dispatch symmetry; the enumeration stays
     serial (see :func:`~repro.analysis.completability.completability_depth1`).
     """
     owns_engine = engine is None
     engine = engine_for(guarded_form, engine, frontier, store=store, workers=workers, resident_budget=resident_budget)
     try:
-        graph = engine.explore_depth1(start=start, strategy=frontier)
+        graph = engine.explore_depth1(
+            start=start, strategy=frontier, resume=resume, step_limit=step_limit
+        )
         reachable = graph.reachable_from(graph.initial)
         complete_states = engine.complete_depth1_states(graph)
         can_complete = graph.backward_closure(complete_states & graph.states)
@@ -236,14 +242,15 @@ def decide_semisoundness(
             the same form.
         store: a :class:`~repro.engine.store.StateStore` backing a freshly
             built engine (ignored when *engine* is supplied).
-        resume: continue the bounded explorations from checkpoints earlier
+        resume: continue the explorations from checkpoints earlier
             identically parameterised runs saved in the store.
         workers: number of frontier worker processes for the bounded
             procedure (``1`` keeps the serial engine; parallel verdicts are
             bit-identical — see :mod:`repro.engine.parallel`).
-        step_limit: for the bounded procedure, checkpoint and raise
+        step_limit: checkpoint and raise
             :class:`~repro.exceptions.ExplorationInterrupted` after this many
-            state expansions of the reachability sweep (requires a store).
+            state expansions of the reachability sweep (of the bounded
+            procedure) or of the canonical-state enumeration (depth-1).
         request: a single :class:`~repro.service.AnalysisRequest` instead of
             the keyword surface; delegates to
             :func:`repro.service.dispatch.run_analysis`.
@@ -258,9 +265,15 @@ def decide_semisoundness(
         )
     if strategy == "depth1":
         return semisoundness_depth1(
-            guarded_form, start, frontier=frontier, engine=engine, store=store,
+            guarded_form,
+            start,
+            frontier=frontier,
+            engine=engine,
+            store=store,
             workers=workers,
             resident_budget=resident_budget,
+            resume=resume,
+            step_limit=step_limit,
         )
     if strategy == "bounded":
         return semisoundness_bounded(
@@ -280,9 +293,15 @@ def decide_semisoundness(
 
     if guarded_form.schema_depth() <= 1:
         return semisoundness_depth1(
-            guarded_form, start, frontier=frontier, engine=engine, store=store,
+            guarded_form,
+            start,
+            frontier=frontier,
+            engine=engine,
+            store=store,
             workers=workers,
             resident_budget=resident_budget,
+            resume=resume,
+            step_limit=step_limit,
         )
 
     fragment = classify(guarded_form)

@@ -59,6 +59,9 @@ class Depth1StateGraph:
     initial: Depth1State
     states: set = field(default_factory=set)
     transitions: dict = field(default_factory=dict)  # state -> list[Depth1Transition]
+    #: whether the exploration stopped at the first complete state found
+    #: (opt-in early exit) instead of building the whole graph
+    stopped_on_complete: bool = False
 
     def successors(self, state: Depth1State) -> list[Depth1Transition]:
         """Outgoing transitions of *state*."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 from repro.core.equivalence import node_equivalence_classes
 from repro.core.instance import Instance
 from repro.core.schema import Schema
-from repro.core.tree import LabelledTree, Node, Shape
+from repro.core.tree import LabelledTree, Shape
 from repro.exceptions import InstanceError
 
 
@@ -126,16 +126,21 @@ def depth1_state_to_instance(schema: Schema, state: frozenset[str]) -> Instance:
     return instance
 
 
-def depth1_state_tree(root_label: str, state: frozenset[str]) -> Node:
-    """The root of a bare two-level tree with one child per label of *state*.
+def depth1_label_bits(schema: Schema) -> dict:
+    """The bit of each root-child label in a depth-1 state mask.
 
-    The tree has the nodes, labels and ids of
-    :func:`depth1_state_to_instance`'s, without the instance around it: no
-    schema validation and no node index.  Formula evaluation only walks
-    ``children`` and ``parent``, so it is all a guard needs.
+    Bit *i* stands for the *i*-th root child of *schema*, in schema order; a
+    canonical depth-1 state (a label set) is the sum of its labels' bits.
     """
-    root = Node(0, root_label, None)
-    root.children = [
-        Node(node_id, label, root) for node_id, label in enumerate(sorted(state), 1)
-    ]
-    return root
+    return {child.label: 1 << index for index, child in enumerate(schema.root.children)}
+
+
+def depth1_state_mask(bits: dict, state: frozenset[str]) -> int:
+    """The bitmask of the canonical depth-1 *state* (see
+    :func:`depth1_label_bits`)."""
+    return sum(map(bits.__getitem__, state))
+
+
+def depth1_mask_state(bits: dict, mask: int) -> frozenset[str]:
+    """The canonical depth-1 state (label set) of the bitmask *mask*."""
+    return frozenset(label for label, bit in bits.items() if mask & bit)

@@ -57,6 +57,9 @@ picked up by a *fresh process* with ``explore(resume=True)`` and finish with
 exactly the states, transitions and truncation flags of an uninterrupted
 run.  The differential suite in ``tests/engine/test_store_parity.py`` pins
 that equivalence against the in-memory engine for every benchgen family.
+:meth:`ExplorationEngine.explore_depth1` slices the same way under a
+``step_limit``, with a checkpoint of state masks
+(``tests/engine/test_depth1_slices.py``).
 
 Guard values stay in memory: a resumed process re-evaluates the guards it
 probes, since running a compiled rule costs less than writing and restoring
@@ -80,7 +83,12 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Callable, Iterator, Optional
 
-from repro.core.canonical import canonical_depth1_state
+from repro.core.canonical import (
+    canonical_depth1_state,
+    depth1_mask_state,
+    depth1_state_mask,
+    depth1_state_to_instance,
+)
 from repro.core.guarded_form import Addition, Deletion, GuardedForm, Update
 from repro.core.instance import Instance
 from repro.core.runs import Run
@@ -92,7 +100,12 @@ from repro.engine.interning import (
     StateId,
     map_isomorphism,
 )
-from repro.engine.store import InMemoryStore, StateStore, exploration_run_key
+from repro.engine.store import (
+    InMemoryStore,
+    StateStore,
+    depth1_run_key,
+    exploration_run_key,
+)
 from repro.engine.strategies import FrontierStrategy, completion_distance, make_strategy
 from repro.exceptions import AnalysisError, ExplorationInterrupted, StoreError
 from repro.io.serialization import (
@@ -470,8 +483,14 @@ class ExplorationEngine:
         self._reps_unwritten: set = set()
         self._shape_maps: dict = {}  # StateId -> {node_id: consed subtree Shape}
         self._expansions: dict = {}  # StateId -> (candidates, guard queries)
-        self._d1_expansions: dict = {}  # frozenset -> (moves, guard queries)
-        self._scores: dict = {}  # state key -> completion_distance
+        #: depth-1 state mask -> ((kind, label, target mask) moves, guard
+        #: queries); additions come in schema order, then deletions by
+        #: label, the order of ``legacy_explore_depth1``
+        self._d1_expansions: dict = {}
+        #: (label, bit) of each root-child label, sorted by label
+        self._d1_by_label = sorted(self.guards.d1_bits.items())
+        self._scores: dict = {}  # bounded state id -> completion_distance
+        self._d1_scores: dict = {}  # depth-1 state mask -> completion_distance
         self.expansions_computed = 0
         self.expansions_reused = 0
         self.heuristic_evaluations = 0
@@ -716,14 +735,14 @@ class ExplorationEngine:
             self.heuristic_evaluations += 1
         return score
 
-    def _score_depth1(self, state: frozenset) -> int:
-        score = self._scores.get(state)
+    def _score_depth1(self, state: int) -> int:
+        score = self._d1_scores.get(state)
         if score is None:
-            from repro.core.canonical import depth1_state_to_instance
-
-            materialised = depth1_state_to_instance(self.guarded_form.schema, state)
+            materialised = depth1_state_to_instance(
+                self.guarded_form.schema, depth1_mask_state(self.guards.d1_bits, state)
+            )
             score = completion_distance(materialised.root, self.guarded_form.completion)
-            self._scores[state] = score
+            self._d1_scores[state] = score
             self.heuristic_evaluations += 1
         return score
 
@@ -1066,17 +1085,39 @@ class ExplorationEngine:
         self.store.flush()
 
     # ------------------------------------------------------------------ #
-    # depth-1 exploration (canonical label-set states, Lemma 4.3)
+    # depth-1 exploration (canonical states as label bitmasks, Lemma 4.3)
     # ------------------------------------------------------------------ #
 
-    def explore_depth1(self, start: Optional[Instance] = None, strategy: Optional[str] = None):
+    def explore_depth1(
+        self,
+        start: Optional[Instance] = None,
+        strategy: Optional[str] = None,
+        *,
+        stop_on_complete: bool = False,
+        resume: bool = False,
+        step_limit: Optional[int] = None,
+    ):
         """Build the complete canonical-state graph of a depth-1 form.
 
-        Returns the legacy
-        :class:`~repro.analysis.statespace.Depth1StateGraph` (its states are
-        tiny frozensets already; the engine contributes guard memoization —
-        support-projected, so the Theorem 5.1 SAT workloads share evaluations
-        across exponentially many states — and the frontier strategy).
+        Canonical states are explored as ``int`` bitmasks over the schema's
+        root-child labels (:attr:`GuardCache.d1_bits`), and converted once,
+        at the end, into the legacy
+        :class:`~repro.analysis.statespace.Depth1StateGraph` of label sets.
+        The engine contributes guard memoization — support-projected, so the
+        Theorem 5.1 SAT workloads share evaluations across exponentially many
+        states — and the frontier strategy.
+
+        Args:
+            stop_on_complete: stop as soon as a discovered state satisfies
+                the completion formula (the graph's ``stopped_on_complete``
+                flag records this); off by default, which explores the whole
+                reachable graph.
+            resume: continue from the checkpoint an identical earlier call
+                (same start state, strategy and early-exit policy) left in
+                the engine's store; ignored when there is none.
+            step_limit: expand at most this many states in this call, then
+                checkpoint and raise
+                :class:`~repro.exceptions.ExplorationInterrupted`.
 
         Raises:
             ValueError: when the schema has depth greater than 1.
@@ -1088,32 +1129,106 @@ class ExplorationEngine:
                 "explore_depth1 only applies to depth-1 guarded forms; use "
                 "explore_bounded for deeper schemas"
             )
+        guards = self.guards
+        start_instance = start if start is not None else form.initial_instance()
+        initial = depth1_state_mask(guards.d1_bits, canonical_depth1_state(start_instance))
+        strategy_name = strategy or self.strategy
+        run_key = depth1_run_key(initial, strategy_name, stop_on_complete)
+        checkpoint = self.store.load_checkpoint(run_key) if resume else None
+        frontier = self._make_frontier(strategy, depth1=True)
+        if checkpoint is not None:
+            states = set(checkpoint["states"])
+            transitions = {
+                source: [tuple(move) for move in moves]
+                for source, moves in checkpoint["transitions"]
+            }
+            stopped = checkpoint["stopped_on_complete"]
+            for state in checkpoint["frontier"]:
+                frontier.push(state)
+            self.explorations_resumed += 1
+        else:
+            states = {initial}
+            transitions = {}
+            frontier.push(initial)
+            stopped = stop_on_complete and guards.d1_completion(initial)
+        expanded = 0
+        while frontier and not stopped:
+            if step_limit is not None and expanded >= step_limit:
+                self._save_depth1_checkpoint(run_key, initial, states, transitions, frontier, stopped)
+                raise ExplorationInterrupted(
+                    f"depth-1 exploration paused after {expanded} expansions "
+                    f"({len(states)} states, {len(frontier)} frontier entries); "
+                    "resume with explore_depth1(resume=True)",
+                    states_explored=len(states),
+                    frontier_size=len(frontier),
+                )
+            state = frontier.pop()
+            if state in transitions:
+                continue  # a state can be queued twice under non-FIFO frontiers
+            moves = transitions[state] = self._expand_depth1(state)
+            for _kind, _label, target in moves:
+                if target not in states:
+                    states.add(target)
+                    frontier.push(target)
+                    if stop_on_complete and guards.d1_completion(target):
+                        stopped = True
+            expanded += 1
+        if checkpoint is not None and not checkpoint["done"]:
+            # a sliced run: record it as finished, so that resuming it again
+            # returns the whole graph
+            empty = self._make_frontier("bfs")
+            self._save_depth1_checkpoint(run_key, initial, states, transitions, empty, stopped)
+        if self.store.persistent:
+            self.store.flush()
+        return self._depth1_graph(initial, states, transitions, stopped)
+
+    def _save_depth1_checkpoint(
+        self, run_key: str, initial: int, states: set, transitions: dict, frontier, stopped: bool
+    ) -> None:
+        """Snapshot an in-flight depth-1 exploration into the store: masks
+        throughout, transitions in expansion order."""
+        self.store.save_checkpoint(
+            run_key,
+            {
+                "version": 1,
+                "done": not frontier,
+                "initial": initial,
+                "states": sorted(states),
+                "frontier": frontier.pending(),
+                "transitions": [
+                    [source, [list(move) for move in moves]]
+                    for source, moves in transitions.items()
+                ],
+                "stopped_on_complete": stopped,
+            },
+        )
+
+    def _depth1_graph(self, initial: int, states: set, transitions: dict, stopped: bool):
+        """The label-set graph of an exploration over masks.
+
+        States enter the graph in discovery order (the order in which they
+        first appear as transition targets), as ``legacy_explore_depth1``
+        adds them.
+        """
         from repro.analysis.statespace import Depth1StateGraph, Depth1Transition
 
-        start_instance = start if start is not None else form.initial_instance()
-        initial = canonical_depth1_state(start_instance)
-        graph = Depth1StateGraph(form, initial)
-        frontier = self._make_frontier(strategy, depth1=True)
-        graph.states.add(initial)
-        frontier.push(initial)
-        while frontier:
-            state = frontier.pop()
-            if state in graph.transitions:
-                continue  # a state can be queued twice under non-FIFO frontiers
-            transitions = [
-                Depth1Transition(kind, label, state, target)
-                for kind, label, target in self._expand_depth1(state)
-            ]
-            graph.transitions[state] = transitions
-            for transition in transitions:
-                if transition.target not in graph.states:
-                    graph.states.add(transition.target)
-                    frontier.push(transition.target)
-        if self.store.persistent:
-            self.store.flush()  # depth-1 runs write no checkpoints
+        bits = self.guards.d1_bits
+        label_sets = {mask: depth1_mask_state(bits, mask) for mask in states}
+        graph = Depth1StateGraph(self.guarded_form, label_sets[initial])
+        graph.stopped_on_complete = stopped
+        graph_states = graph.states
+        graph_states.add(graph.initial)
+        for source, moves in transitions.items():
+            source_set = label_sets[source]
+            edges = []
+            for kind, label, target in moves:
+                target_set = label_sets[target]
+                graph_states.add(target_set)
+                edges.append(Depth1Transition(kind, label, source_set, target_set))
+            graph.transitions[source_set] = edges
         return graph
 
-    def _expand_depth1(self, state: frozenset) -> list:
+    def _expand_depth1(self, state: int) -> list:
         memo = self._d1_expansions.get(state)
         if memo is not None:
             moves, guard_queries = memo
@@ -1123,15 +1238,12 @@ class ExplorationEngine:
         guards = self.guards
         queries_before = guards.hits + guards.misses
         moves: list = []
-        for schema_child in self.guarded_form.schema.root.children:
-            label = schema_child.label
-            if guards.d1_addition_allowed(state, label):
-                target = frozenset(state | {label})
-                if target != state:
-                    moves.append(("add", label, target))
-        for label in sorted(state):
-            if guards.d1_deletion_allowed(state, label):
-                moves.append(("del", label, frozenset(state - {label})))
+        for label, bit in guards.d1_bits.items():
+            if guards.d1_addition_allowed(state, label) and not state & bit:
+                moves.append(("add", label, state | bit))
+        for label, bit in self._d1_by_label:
+            if state & bit and guards.d1_deletion_allowed(state, label):
+                moves.append(("del", label, state & ~bit))
         self._d1_expansions[state] = (moves, guards.hits + guards.misses - queries_before)
         self.expansions_computed += 1
         return moves
@@ -1139,7 +1251,12 @@ class ExplorationEngine:
     def complete_depth1_states(self, graph) -> set:
         """The canonical states of *graph* satisfying the completion formula."""
         guards = self.guards
-        return {state for state in graph.states if guards.d1_completion(state)}
+        bits = guards.d1_bits
+        return {
+            state
+            for state in graph.states
+            if guards.d1_completion(depth1_state_mask(bits, state))
+        }
 
     # ------------------------------------------------------------------ #
     # worker lifecycle (no-op on the serial engine)

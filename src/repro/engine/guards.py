@@ -9,8 +9,11 @@ levels of sharing, from widest to narrowest:
 * **support projection** (depth-1 states) — a formula evaluated at the root of
   a depth-1 instance can only observe the labels it mentions
   (:func:`support_labels`), so the cache key is the *projection* of the
-  canonical state onto that support.  On the Theorem 5.1 SAT workloads this
-  collapses the ``2^n`` states into a handful of projections per rule.
+  canonical state onto that support.  States are ``int`` bitmasks over the
+  schema's root-child labels (:func:`~repro.core.canonical.depth1_label_bits`)
+  and the support is a mask too, so the projection is ``state & support``.
+  On the Theorem 5.1 SAT workloads this collapses the ``2^n`` states into a
+  handful of projections per rule.
 
 * **subtree keying** (bounded states) — a formula without upward ``Parent``
   navigation (:func:`navigates_upward`) evaluated at node ``n`` only observes
@@ -29,8 +32,9 @@ evaluations actually run.
 **Compiled rules and probe plans.**  A miss does not interpret the formula's
 AST: each access rule and the completion formula is compiled once per cache
 into a closure over :class:`~repro.core.tree.Node`
-(:func:`~repro.core.formulas.compiled.compile_formula`), and every miss runs
-one through the module-level :func:`evaluate`.  What a probe needs besides
+(:func:`~repro.core.formulas.compiled.compile_formula`), or over a depth-1
+state mask, and every miss runs one through the module-level
+:func:`evaluate`.  What a probe needs besides
 the state is fixed by the schema node it is made at, so it is bundled once
 per schema node into a plan:
 
@@ -38,10 +42,11 @@ per schema node into a plan:
   each child label with its compiled add rule, whether that rule navigates
   upward, and its edge path (the subtree key's first part), plus the compiled
   delete rule of the node itself;
-* :meth:`GuardCache.d1_plan` — per field label, for depth-1 forms: the
-  compiled add and delete rules with their support labels.  A depth-1 miss
-  runs the rule on a bare two-level tree built from the support projection
-  (:func:`~repro.core.canonical.depth1_state_tree`), not on an instance.
+* :meth:`GuardCache.d1_plan` — per field label, for depth-1 forms: the add
+  and delete rules, each compiled to a predicate over the state mask
+  (:func:`~repro.core.formulas.compiled.compile_depth1`), with its support
+  mask.  A depth-1 miss runs the predicate on the projected mask: a few bit
+  tests, no tree.
 
 A plan decides what to evaluate, never the key: keys depend only on the
 state, the node and the edge (``tests/engine/test_guard_counters.py`` pins
@@ -60,7 +65,7 @@ from __future__ import annotations
 from itertools import islice
 
 from repro.core.access import AccessRight
-from repro.core.canonical import depth1_state_tree
+from repro.core.canonical import depth1_label_bits
 from repro.core.formulas.ast import (
     And,
     Exists,
@@ -73,15 +78,15 @@ from repro.core.formulas.ast import (
     Slash,
     Step,
 )
-from repro.core.formulas.compiled import Rule, compile_formula
+from repro.core.formulas.compiled import MaskPredicate, Rule, compile_depth1, compile_formula
 from repro.core.guarded_form import GuardedForm
 from repro.core.tree import Node, Shape
 from repro.obs import NO_TELEMETRY
 
 
-def evaluate(node: Node, rule: Rule) -> bool:
-    """Run the compiled *rule* at *node*: every guard-cache miss goes
-    through here."""
+def evaluate(node: "Node | int", rule: "Rule | MaskPredicate") -> bool:
+    """Run the compiled *rule* at *node*, or the depth-1 predicate on a state
+    mask: every guard-cache miss goes through here."""
     return rule(node)
 
 
@@ -141,9 +146,10 @@ def navigates_upward(formula: "Formula | PathExpr") -> bool:
 class GuardCache:
     """Memoizes access-rule and completion-formula evaluations for one form.
 
-    The completion formula is compiled (:mod:`repro.core.formulas.compiled`)
-    at construction and each access rule when a probe first needs it; the
-    probes of one schema node are bundled in a plan (:meth:`plan`,
+    The completion formula and each access rule are compiled
+    (:mod:`repro.core.formulas.compiled`) when a probe first needs them, over
+    nodes for the bounded explorer and over state masks for depth-1 forms;
+    the probes of one schema node are bundled in a plan (:meth:`plan`,
     :meth:`d1_plan`), so a probe costs a key build and a dict lookup, and a
     miss one closure call.
     """
@@ -167,10 +173,12 @@ class GuardCache:
         self._plans: dict = {}
         #: depth-1 field label -> depth-1 probe plan (see :meth:`d1_plan`)
         self._d1_plans: dict = {}
-        completion = guarded_form.completion
-        self._completion = compile_formula(completion)
-        self._completion_support = support_labels(completion)
-        self._root_label = guarded_form.schema.root.label
+        #: root-child label -> its bit in a depth-1 state mask
+        self.d1_bits = depth1_label_bits(guarded_form.schema)
+        #: the completion compiled over nodes, and as (predicate, support
+        #: mask) over depth-1 state masks, each on its first miss
+        self._completion = None
+        self._d1_completion = None
         self.hits = 0
         self.misses = 0
 
@@ -205,20 +213,25 @@ class GuardCache:
 
     def d1_plan(self, label: str) -> tuple:
         """The guard probes of the depth-1 field *label*: ``(addition,
-        deletion)``, each ``(rule, support labels)`` with the compiled
-        ``A(add, label)`` and ``A(del, label)``."""
+        deletion)``, each ``(predicate, support mask)`` with ``A(add, label)``
+        and ``A(del, label)`` compiled over the state mask."""
         plan = self._d1_plans.get(label)
         if plan is None:
-            probes = []
-            for right in (AccessRight.ADD, AccessRight.DEL):
-                rule = self._rules.rule(right, (label,))
-                probes.append((compile_formula(rule), support_labels(rule)))
-            plan = self._d1_plans[label] = tuple(probes)
+            plan = self._d1_plans[label] = tuple(
+                self._d1_probe(self._rules.rule(right, (label,)))
+                for right in (AccessRight.ADD, AccessRight.DEL)
+            )
         return plan
 
-    def _miss(self, key, node: Node, rule: Rule) -> bool:
+    def _d1_probe(self, formula: Formula) -> tuple:
+        """``(predicate, support mask)`` of *formula* at a depth-1 root."""
+        bits = self.d1_bits
+        support = sum(bits[label] for label in support_labels(formula) if label in bits)
+        return compile_depth1(formula, bits), support
+
+    def _miss(self, key, node: "Node | int", rule: "Rule | MaskPredicate") -> bool:
         """Answer a probe *key* the cache does not hold by evaluating the
-        compiled *rule* at *node*."""
+        compiled *rule* at *node* (a depth-1 state mask for a predicate)."""
         self.misses += 1
         obs = self._obs
         if obs.enabled:
@@ -293,41 +306,42 @@ class GuardCache:
         try:
             value = self._cache[key]
         except KeyError:
-            return self._miss(key, root, self._completion)
+            rule = self._completion
+            if rule is None:
+                rule = self._completion = compile_formula(self._form.completion)
+            return self._miss(key, root, rule)
         self.hits += 1
         return value
 
     # ------------------------------------------------------------------ #
-    # depth-1 guards (canonical label-set states, support-projected)
+    # depth-1 guards (canonical states as label bitmasks, support-projected)
     # ------------------------------------------------------------------ #
 
-    def _d1_projected(
-        self, tag: str, label_key, state: frozenset, rule: Rule, support: frozenset
-    ) -> bool:
+    def _d1_projected(self, tag: str, label_key, state: int, probe: tuple) -> bool:
+        predicate, support = probe
         projection = state & support
         key = (tag, label_key, projection)
         try:
             value = self._cache[key]
         except KeyError:
-            return self._miss(key, depth1_state_tree(self._root_label, projection), rule)
+            return self._miss(key, projection, predicate)
         self.hits += 1
         return value
 
-    def d1_addition_allowed(self, state: frozenset, label: str) -> bool:
+    def d1_addition_allowed(self, state: int, label: str) -> bool:
         """``A(add, label)`` at the root of the canonical depth-1 *state*."""
-        rule, support = self.d1_plan(label)[0]
-        return self._d1_projected("1a", label, state, rule, support)
+        return self._d1_projected("1a", label, state, self.d1_plan(label)[0])
 
-    def d1_deletion_allowed(self, state: frozenset, label: str) -> bool:
+    def d1_deletion_allowed(self, state: int, label: str) -> bool:
         """``A(del, label)`` at the root of the canonical depth-1 *state*."""
-        rule, support = self.d1_plan(label)[1]
-        return self._d1_projected("1d", label, state, rule, support)
+        return self._d1_projected("1d", label, state, self.d1_plan(label)[1])
 
-    def d1_completion(self, state: frozenset) -> bool:
+    def d1_completion(self, state: int) -> bool:
         """Whether the canonical depth-1 *state* satisfies the completion."""
-        return self._d1_projected(
-            "1p", None, state, self._completion, self._completion_support
-        )
+        probe = self._d1_completion
+        if probe is None:
+            probe = self._d1_completion = self._d1_probe(self._form.completion)
+        return self._d1_projected("1p", None, state, probe)
 
     # ------------------------------------------------------------------ #
     # bookkeeping

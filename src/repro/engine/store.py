@@ -39,7 +39,9 @@ exploration to one process.  This module puts a storage protocol underneath:
 Checkpoints are keyed by a digest of the exploration parameters (start
 shape, limits, strategy, early-exit flag), so several explorations — e.g.
 the per-suspicious-state completability sweeps of a semi-soundness analysis —
-can each keep their own resumable frontier in one store.
+can each keep their own resumable frontier in one store.  Depth-1
+explorations checkpoint under keys of their own (start mask, strategy,
+early-exit flag; :func:`depth1_run_key`) when a step limit slices them.
 
 Store counters (row reads/writes, cache hits/misses, flushes) surface in
 ``AnalysisResult.stats["engine"]`` under ``store_*`` keys via
@@ -746,6 +748,21 @@ def exploration_run_key(
             "strategy": strategy,
             "stop_on_complete": stop_on_complete,
         },
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def depth1_run_key(initial: int, strategy: str, stop_on_complete: bool) -> str:
+    """Checkpoint key identifying one depth-1 exploration's parameters.
+
+    The same start state (as a mask), frontier strategy and early-exit
+    policy traverse the canonical states identically.  The payload has a
+    ``depth1`` field and no ``limits``, so it never equals the payload of an
+    :func:`exploration_run_key`: the keys cannot collide.
+    """
+    payload = json.dumps(
+        {"depth1": initial, "strategy": strategy, "stop_on_complete": stop_on_complete},
         separators=(",", ":"),
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()

@@ -1,9 +1,10 @@
 """The ``stop_on_complete`` early exit and the parity of its *default*.
 
 The ROADMAP's goal-directed-exploration item adds an opt-in early return to
-:meth:`ExplorationEngine.explore`; these tests pin (a) that the default stays
-exhaustive — byte-for-byte the same graphs as before the feature — and
-(b) that the opt-in never changes a decision, only the effort.
+:meth:`ExplorationEngine.explore` and :meth:`ExplorationEngine.explore_depth1`;
+these tests pin (a) that the default stays exhaustive — byte-for-byte the
+same graphs as before the feature — and (b) that the opt-in never changes a
+decision, only the effort.
 """
 
 import pytest
@@ -11,7 +12,11 @@ import pytest
 from repro.analysis.completability import decide_completability
 from repro.analysis.results import ExplorationLimits
 from repro.analysis.statespace import legacy_explore_bounded
-from repro.benchgen.families import counter_machine_family, positive_deep_family
+from repro.benchgen.families import (
+    counter_machine_family,
+    positive_deep_family,
+    sat_completability_family,
+)
 from repro.engine import ExplorationEngine
 from repro.fbwis.catalog import leave_application, leave_application_incompletable
 
@@ -89,3 +94,43 @@ class TestOptInEarlyExit:
         assert graph.stopped_on_complete is True
         assert not graph.truncated_by_states
         assert not graph.truncated_by_size
+
+
+class TestDepth1EarlyExit:
+    """The depth-1 canonical search honours ``stop_on_complete`` too, on the
+    Theorem 5.1 SAT forms (completable iff the CNF is satisfiable)."""
+
+    @pytest.mark.parametrize("seed, satisfiable", [(1, True), (2, False)])
+    def test_same_answer_as_the_exhaustive_search(self, seed, satisfiable):
+        form = sat_completability_family(8, clause_ratio=4.3, seed=seed)[0]
+        exhaustive = decide_completability(form)
+        early = decide_completability(form, stop_on_complete=True)
+        assert exhaustive.procedure == early.procedure == "depth1_canonical_search"
+        assert exhaustive.answer is early.answer is satisfiable
+        assert early.stats["stopped_on_complete"] is satisfiable
+        if satisfiable:
+            assert early.stats["canonical_states"] < exhaustive.stats["canonical_states"]
+            assert early.witness_run.is_valid()
+            assert form.is_complete(early.witness_run.final_instance())
+        else:
+            assert early.stats["canonical_states"] == exhaustive.stats["canonical_states"]
+
+    def test_both_call_sites_pass_the_flag(self):
+        form = sat_completability_family(8, clause_ratio=4.3, seed=1)[0]
+        for strategy in ("auto", "depth1"):
+            result = decide_completability(form, strategy=strategy, stop_on_complete=True)
+            assert result.stats["stopped_on_complete"] is True
+
+    def test_default_stats_are_unchanged(self):
+        form = sat_completability_family(8, clause_ratio=4.3, seed=1)[0]
+        stats = decide_completability(form).stats
+        assert list(stats) == ["canonical_states", "complete_states", "transitions", "engine"]
+
+    def test_complete_initial_state_stops_before_expanding(self):
+        form = sat_completability_family(8, clause_ratio=4.3, seed=1)[0]
+        witness = decide_completability(form).witness_run.final_instance()
+        engine = ExplorationEngine(form)
+        graph = engine.explore_depth1(start=witness, stop_on_complete=True)
+        assert graph.stopped_on_complete is True
+        assert graph.states == {graph.initial}
+        assert graph.transitions == {}

@@ -5,7 +5,11 @@ hydrate-once semantics — the engine corners the parity suites did not reach
 
 from repro.analysis.completability import decide_completability
 from repro.analysis.results import ExplorationLimits
-from repro.benchgen.families import counter_machine_family, positive_deep_family
+from repro.benchgen.families import (
+    counter_machine_family,
+    positive_deep_family,
+    sat_completability_family,
+)
 from repro.engine import ExplorationEngine, ParallelExplorationEngine, SqliteStore
 from repro.exceptions import ExplorationInterrupted
 from repro.fbwis.catalog import leave_application
@@ -138,6 +142,27 @@ class TestGuidedFrontier:
         assert engine.heuristic_evaluations > 0  # the scorer actually ran
         complete = engine.complete_ids(graph)
         assert complete
+
+    def test_guided_depth1_scores_stay_out_of_bounded_runs(self):
+        """Depth-1 state masks and bounded state ids are both small ints: a
+        guided depth-1 run must not leave scores a later guided bounded run
+        on the same engine reads for its own states."""
+        form = sat_completability_family(8, clause_ratio=4.3, seed=1)[0]
+        limits = ExplorationLimits(max_states=120)
+        engine = ExplorationEngine(form, strategy="guided")
+        decide_completability(form, strategy="depth1", engine=engine)
+        shared = decide_completability(form, strategy="bounded", limits=limits, engine=engine)
+        fresh = decide_completability(
+            form,
+            strategy="bounded",
+            limits=limits,
+            engine=ExplorationEngine(form, strategy="guided"),
+        )
+        for result in (shared, fresh):
+            assert result.answer is True
+        assert shared.stats["states_explored"] == fresh.stats["states_explored"]
+        assert shared.stats["transitions"] == fresh.stats["transitions"]
+        assert shared.witness_run.updates == fresh.witness_run.updates
 
     def test_guided_parallel_matches_guided_serial(self):
         """Wave prefetching is strategy-agnostic: a guided parallel run is

@@ -77,11 +77,28 @@ def canonical(term) -> str:
     return repr(term)
 
 
-def key_digest(guards) -> str:
+#: Tags of the depth-1 guard keys, ``(tag, label, projected state mask)``.
+DEPTH1_TAGS = ("1a", "1d", "1p")
+
+
+def label_key(key: tuple, root_labels: list) -> tuple:
+    """*key* with a depth-1 state mask replaced by its label set: bit *i* is
+    the *i*-th root child of the form's schema."""
+    if key[0] not in DEPTH1_TAGS:
+        return key
+    tag, label, mask = key
+    return (tag, label, frozenset(name for i, name in enumerate(root_labels) if mask >> i & 1))
+
+
+def key_digest(guards, form) -> str:
     """A digest of the cached guard entries, independent of insertion order
     and of ``PYTHONHASHSEED``: the sorted canonical keys, each with its
     value."""
-    rows = sorted(f"{canonical(key)}={value}" for key, value in guards._cache.items())
+    root_labels = [child.label for child in form.schema.root.children]
+    rows = sorted(
+        f"{canonical(label_key(key, root_labels))}={value}"
+        for key, value in guards._cache.items()
+    )
     return hashlib.sha256("\n".join(rows).encode("utf-8")).hexdigest()[:16]
 
 
@@ -101,6 +118,6 @@ def test_guard_counters_match_golden(name):
         engine_stats["expansions_computed"],
         states,
         stats["transitions"],
-        key_digest(engine.guards),
+        key_digest(engine.guards, form),
     )
     assert observed == GOLDEN[name]

@@ -1,17 +1,17 @@
 """Differential properties: compiled rules against the reference semantics.
 
-The guard cache runs formulas compiled to closures
-(:mod:`repro.core.formulas.compiled`) and evaluates depth-1 guards on a bare
-two-level tree (:func:`repro.core.canonical.depth1_state_tree`).  Both must
-agree with :func:`repro.core.formulas.semantics.evaluate` (Definition 3.5) on
-the instances the reference is defined over.
+The guard cache runs formulas compiled to closures over nodes, and depth-1
+guards compiled to predicates over a state's label bitmask
+(:mod:`repro.core.formulas.compiled`).  Both must agree with
+:func:`repro.core.formulas.semantics.evaluate` (Definition 3.5) on the
+instances the reference is defined over.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.canonical import depth1_state_to_instance, depth1_state_tree
+from repro.core.canonical import depth1_label_bits, depth1_state_to_instance
 from repro.core.formulas.ast import (
     And,
     Bottom,
@@ -24,7 +24,8 @@ from repro.core.formulas.ast import (
     Step,
     Top,
 )
-from repro.core.formulas.compiled import compile_formula, compile_path
+from repro.core.formulas.compiled import compile_depth1, compile_formula, compile_path
+from repro.core.formulas.parser import parse_formula
 from repro.core.formulas.semantics import evaluate, path_targets
 from repro.core.schema import Schema
 from repro.exceptions import FormulaError
@@ -103,23 +104,57 @@ class TestCompiledFormulas:
             assert rule(node) == expected
 
 
-class TestDepth1Tree:
+class TestDepth1Masks:
+    #: "z" is outside the schema: a step to it has no target
+    LABELS = DEPTH1_LABELS + ["z"]
+
     @SETTINGS
     @given(
         state=st.frozensets(st.sampled_from(DEPTH1_LABELS)),
-        formula=formulas(labels=DEPTH1_LABELS),
+        formula=grammar_formulas(LABELS, grammar_paths(LABELS)),
     )
-    def test_bare_tree_answers_like_the_instance(self, state, formula):
+    def test_mask_predicate_answers_like_the_instance_root(self, state, formula):
         schema = Schema.from_dict({label: {} for label in DEPTH1_LABELS})
+        bits = depth1_label_bits(schema)
+        mask = sum(bits[label] for label in state)
         instance = depth1_state_to_instance(schema, state)
-        root = depth1_state_tree(schema.root.label, state)
-        rule = compile_formula(formula)
-        assert rule(root) == evaluate(instance.root, formula)
-        assert evaluate(root, formula) == evaluate(instance.root, formula)
-        for bare, materialised in zip(root.children, instance.root.children):
-            assert (bare.node_id, bare.label) == (materialised.node_id, materialised.label)
-            assert rule(bare) == evaluate(materialised, formula)
-        assert len(root.children) == len(instance.root.children)
+        assert compile_depth1(formula, bits)(mask) == evaluate(instance.root, formula)
+
+    @SETTINGS
+    @given(
+        state=st.frozensets(st.sampled_from(DEPTH1_LABELS)),
+        formula=formulas(labels=DEPTH1_LABELS, depth=4),
+    )
+    def test_long_connective_chains_answer_like_the_instance_root(self, state, formula):
+        # deeper And/Or nesting than the whole-grammar strategy reaches: the
+        # chains the compiler merges into one CNF or DNF loop
+        schema = Schema.from_dict({label: {} for label in DEPTH1_LABELS})
+        bits = depth1_label_bits(schema)
+        mask = sum(bits[label] for label in state)
+        instance = depth1_state_to_instance(schema, state)
+        assert compile_depth1(formula, bits)(mask) == evaluate(instance.root, formula)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a | b | (c & d)",  # a DNF led by a merged clause
+            "a & !b & (c | d) & (!d | e)",  # a CNF led by a merged cube
+            "(a & b) | (!a & c) | (b & !c & d)",
+            "!((a | b) & (c | !d)) | e",
+            "a & !a",
+            "(a | !a) & (b | c)",
+            "z | (a & z)",
+        ],
+    )
+    def test_merged_forms_answer_like_the_instance_root_on_every_state(self, text):
+        schema = Schema.from_dict({label: {} for label in DEPTH1_LABELS})
+        bits = depth1_label_bits(schema)
+        formula = parse_formula(text)
+        predicate = compile_depth1(formula, bits)
+        for mask in range(1 << len(DEPTH1_LABELS)):
+            state = frozenset(label for label, bit in bits.items() if mask & bit)
+            instance = depth1_state_to_instance(schema, state)
+            assert predicate(mask) == evaluate(instance.root, formula), (text, sorted(state))
 
 
 class TestCompileErrors:
@@ -130,3 +165,9 @@ class TestCompileErrors:
     def test_unknown_path_node_is_rejected(self):
         with pytest.raises(FormulaError):
             compile_path(Top())
+
+    def test_unknown_nodes_are_rejected_by_the_mask_compiler(self):
+        with pytest.raises(FormulaError):
+            compile_depth1(Step("a"), {"a": 1})
+        with pytest.raises(FormulaError):
+            compile_depth1(Exists(Top()), {"a": 1})

@@ -17,6 +17,8 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.benchgen.families import sat_completability_family
+from repro.io.serialization import guarded_form_to_dict
 from repro.service import (
     AnalysisRequest,
     PodServer,
@@ -276,6 +278,29 @@ class TestLiveServer:
                 client.result(job_id)
             assert info.value.code == "cancelled"
             assert info.value.http_status == 410
+        finally:
+            server.shutdown()
+
+    def test_cooperative_cancel_of_running_depth1_job(self, tmp_path):
+        # a 4096-state canonical search in 25-state slices: the pod sees
+        # its progress between slices and cancels it there
+        form, _cnf = sat_completability_family(12, clause_ratio=4.3, seed=3)
+        server, client = live_pod(tmp_path, workers=1, slice_steps=25)
+        try:
+            job = client.submit(
+                AnalysisRequest(form=guarded_form_to_dict(form), kind="completability")
+            )
+            job_id = job["job_id"]
+            assert wait_until(
+                lambda: server.jobs.get(job_id).state == "running"
+                and server.jobs.get(job_id).states_explored > 0
+            )
+            client.cancel(job_id)
+            assert wait_until(lambda: server.jobs.get(job_id).state == "cancelled")
+            assert server.jobs.get(job_id).states_explored < 2**12
+            with pytest.raises(ServiceRemoteError) as info:
+                client.result(job_id)
+            assert info.value.code == "cancelled"
         finally:
             server.shutdown()
 
