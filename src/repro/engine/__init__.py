@@ -5,13 +5,14 @@ Every decision procedure in :mod:`repro.analysis` — completability
 extraction of :mod:`repro.workflow` funnels through state-space exploration.
 This package is that hot path, carved out as an explicit subsystem:
 
-* :mod:`repro.engine.interning` — hash-consed shapes, int state keys,
-  incremental successor-shape computation; store-backed engines get a
+* :mod:`repro.engine.interning` — every subtree hash-consed to an int
+  subtree id, int state keys, successors derived by rewriting the one path
+  an update changes; store-backed engines get a
   two-tier table (resident dict first, on-miss reverse lookup through the
   store's ``shape_hash`` index) so residency tracks what a run touches,
   not what the store holds;
 * :mod:`repro.engine.guards` — memoized access-rule / completion-formula
-  evaluation with support-projection and subtree-shape sharing, running
+  evaluation with support-projection and subtree-id sharing, running
   rules compiled once per form from per-schema-node probe plans;
 * :mod:`repro.engine.strategies` — pluggable frontier orders (BFS, DFS,
   completion-guided best-first);

@@ -4,11 +4,12 @@
 :mod:`repro.analysis.statespace` behind one stateful object that every
 decision procedure can share:
 
-* **state identity** — instance shapes are hash-consed by a
-  :class:`~repro.engine.interning.ShapeInterner`, so bounded-exploration state
-  keys are O(1)-comparable ints and successor shapes are derived incrementally
-  from the parent shape plus the applied update
-  (:class:`~repro.engine.interning.IncrementalShaper`);
+* **state identity** — every subtree of an instance is hash-consed to an int
+  subtree id by a :class:`~repro.engine.interning.ShapeInterner`, and each
+  root subtree id to a dense state id, so bounded-exploration state keys are
+  O(1)-comparable ints; a successor's root subtree id is derived from the
+  parent's ``node id -> subtree id`` map by rewriting the one path the update
+  changed (:class:`~repro.engine.interning.IncrementalShaper`);
 
 * **guard memoization** — access-rule and completion-formula evaluations go
   through a :class:`~repro.engine.guards.GuardCache` shared by every
@@ -143,23 +144,34 @@ def enumerate_expansion(
     Keeping the enumeration in one place is what structurally guarantees the
     serial-vs-parallel bit-identity the differential suite pins.  The guard
     probes of a node come from the cache's plan for its schema label path
-    (:meth:`~repro.engine.guards.GuardCache.plan`).
+    (:meth:`~repro.engine.guards.GuardCache.plan`); *shape_map* maps each
+    node id to its subtree id.
     """
     size = instance.size()
     candidates: list = []
     plan_of = guards.plan
     addition_allowed = guards.addition_allowed
-    for node in instance.nodes():
+    # pre-order, as Node.iter_subtree yields it, carrying each node's label
+    # path down from its parent's
+    stack = [(instance.root, ())]
+    pop = stack.pop
+    while stack:
+        node, path = pop()
         node_shape = shape_map[node.node_id]
-        path = node.label_path()
+        children = node.children
         additions, deletion = plan_of(path)
         for probe in additions:
             if addition_allowed(state_id, node, probe, node_shape):
                 label = probe[0]
+                copies_before = 0
+                for child in children:
+                    if child.label == label:
+                        copies_before += 1
                 update: Update = Addition(node.node_id, label)
-                copies_before = len(node.children_with_label(label))
                 candidates.append(make_candidate(update, True, size + 1, copies_before))
-        if deletion is not None and not node.children:
+        if children:
+            stack.extend([(child, path + (child.label,)) for child in children])
+        elif deletion is not None:
             parent_shape = shape_map[node.parent.node_id]
             if guards.deletion_allowed(state_id, node, deletion, path, parent_shape):
                 candidates.append(make_candidate(Deletion(node.node_id), False, size - 1, 0))
@@ -481,7 +493,7 @@ class ExplorationEngine:
         #: Resident representatives a persistent engine derived, whose store
         #: row is still only an origin: written in full on eviction.
         self._reps_unwritten: set = set()
-        self._shape_maps: dict = {}  # StateId -> {node_id: consed subtree Shape}
+        self._shape_maps: dict = {}  # StateId -> {node_id: subtree id}
         self._expansions: dict = {}  # StateId -> (candidates, guard queries)
         #: depth-1 state mask -> ((kind, label, target mask) moves, guard
         #: queries); additions come in schema order, then deletions by
@@ -683,20 +695,14 @@ class ExplorationEngine:
                     "engine.evict", sweep_started, evicted=self.reps_evicted - evicted_before
                 )
             )
-        # the subtree cons table grows with every distinct subtree ever seen;
-        # rebuild it from the resident tier when it has doubled since the
-        # last prune (cheap len check per enforcement, O(resident) to prune)
-        if self.interner.cons_prune_due():
-            keep: list = []
-            for shape_map in self._shape_maps.values():
-                keep.extend(shape_map.values())
-            self.interner.prune_cons(keep)
+        # the nested-tuple and encoding memos grow with every shape a store
+        # row or shard asked for; the sid table itself is append-only
+        self.interner.trim_memos()
 
     def _register(self, instance: Instance, shape_map=None) -> StateId:
         if shape_map is None:
             shape_map = self.shaper.full_map(instance)
-        shape = shape_map[instance.root.node_id]
-        state_id, is_new = self.interner.state_id(shape)
+        state_id, is_new = self.interner.state_id_row(shape_map[instance.root.node_id])
         if is_new:
             self._reps[state_id] = instance
             self._shape_maps[state_id] = shape_map
@@ -973,11 +979,11 @@ class ExplorationEngine:
     def _successor_id(
         self, parent_id: StateId, instance: Instance, shape_map: dict, update: Update
     ) -> StateId:
-        # Derive the root shape alone (no instance copy, no successor shape
-        # map); a fresh state only records its origin, since most are never
+        # Derive the root sid alone (no instance copy, no successor sid map);
+        # a fresh state only records its origin, since most are never
         # expanded — its representative is derived on first use.
-        root_shape = self.shaper.successor_shape(instance, shape_map, update)
-        state_id, is_new = self.interner.state_id(root_shape)
+        root = self.shaper.successor_shape(instance, shape_map, update)
+        state_id, is_new = self.interner.state_id_row(root)
         if is_new:
             self._record_origin(state_id, parent_id, update)
         return state_id

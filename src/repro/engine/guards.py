@@ -19,7 +19,10 @@ levels of sharing, from widest to narrowest:
   navigation (:func:`navigates_upward`) evaluated at node ``n`` only observes
   the subtree of ``n``, so its value is shared across *all* states (and all
   explorations on the same engine) in which an isomorphic subtree occurs.
-  The hash-consed subtree shapes of the interner serve as the keys.
+  The interner's subtree ids serve as the keys: ``("A", edge, sid)`` and
+  ``("D", path, sid)``.  Subtree ids are local to one interner, so the
+  parallel workers ship these keys with nested-tuple shapes instead
+  (:func:`map_subtree_keys`).
 
 * **state keying** (fallback) — rules that navigate upward are cached per
   (state id, node, rule); this still shares work across the repeated
@@ -80,7 +83,7 @@ from repro.core.formulas.ast import (
 )
 from repro.core.formulas.compiled import MaskPredicate, Rule, compile_depth1, compile_formula
 from repro.core.guarded_form import GuardedForm
-from repro.core.tree import Node, Shape
+from repro.core.tree import Node
 from repro.obs import NO_TELEMETRY
 
 
@@ -88,6 +91,20 @@ def evaluate(node: "Node | int", rule: "Rule | MaskPredicate") -> bool:
     """Run the compiled *rule* at *node*, or the depth-1 predicate on a state
     mask: every guard-cache miss goes through here."""
     return rule(node)
+
+
+#: Tags of the guard keys whose last term is a subtree id.
+SUBTREE_KEY_TAGS = ("A", "D")
+
+
+def map_subtree_keys(entries: list, convert) -> list:
+    """The ``(key, value)`` guard *entries* with the subtree term of every
+    ``A``/``D`` key passed through *convert* (a sid to its nested tuple, or
+    back)."""
+    return [
+        ((key[0], key[1], convert(key[2])), value) if key[0] in SUBTREE_KEY_TAGS else (key, value)
+        for key, value in entries
+    ]
 
 
 def support_labels(formula: Formula) -> frozenset:
@@ -259,17 +276,15 @@ class GuardCache:
     # bounded-explorer guards (arbitrary depth, subtree/state keyed)
     # ------------------------------------------------------------------ #
 
-    def addition_allowed(
-        self, state_id: int, node: Node, probe: tuple, subtree_shape: Shape
-    ) -> bool:
+    def addition_allowed(self, state_id: int, node: Node, probe: tuple, subtree: int) -> bool:
         """Whether the addition *probe* (an entry of ``plan(path)[0]``, where
         *path* is the label path of *node*) is allowed under *node*;
-        *subtree_shape* is the consed shape of *node*."""
+        *subtree* is the subtree id of *node*."""
         label, rule, upward, edge = probe
         if upward:
             key = ("a", state_id, node.node_id, label)
         else:
-            key = ("A", edge, subtree_shape)
+            key = ("A", edge, subtree)
         try:
             value = self._cache[key]
         except KeyError:
@@ -278,11 +293,11 @@ class GuardCache:
         return value
 
     def deletion_allowed(
-        self, state_id: int, node: Node, probe: tuple, path: tuple, parent_shape: Shape
+        self, state_id: int, node: Node, probe: tuple, path: tuple, parent_subtree: int
     ) -> bool:
         """Whether deleting the leaf *node*, at label *path*, is allowed;
-        *probe* is ``plan(path)[1]`` and *parent_shape* the parent's consed
-        shape.
+        *probe* is ``plan(path)[1]`` and *parent_subtree* the subtree id of
+        the node's parent.
 
         The rule only sees the parent, so all same-label siblings share one
         cache entry.
@@ -292,7 +307,7 @@ class GuardCache:
         if upward:
             key = ("d", state_id, parent.node_id, node.label)
         else:
-            key = ("D", path, parent_shape)
+            key = ("D", path, parent_subtree)
         try:
             value = self._cache[key]
         except KeyError:

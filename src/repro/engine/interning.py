@@ -1,83 +1,103 @@
-"""Hash-consed shape interning and incremental shape maintenance.
+"""Hash-consed subtree ids and incremental shape maintenance.
 
 The bounded explorer deduplicates states by the isomorphism-invariant
-:data:`~repro.core.tree.Shape` of their instances.  Shapes are nested tuples;
-comparing and hashing them is O(tree size), and the legacy explorer recomputed
-them from scratch for every successor.  This module removes both costs:
+:data:`~repro.core.tree.Shape` of their instances.  As nested tuples, shapes
+cost O(tree size) to hash and compare on every probe (Python does not cache
+tuple hashes).  This module keys everything by small ints instead:
 
-* :class:`ShapeInterner` hash-conses shapes.  Every subtree shape is mapped to
-  a single canonical tuple object (structurally equal subtrees share one
-  object, so equality checks short-circuit on identity and memory stays
-  proportional to the number of *distinct* subtrees), and every full-state
-  shape is mapped to a small integer id.  State keys used by the exploration
-  engine are therefore O(1)-comparable ints.
+* :class:`ShapeInterner` hash-conses every subtree to a dense **subtree id**
+  (sid).  A sid's key is ``(label, *sorted child sids)``, so interning a
+  node costs O(children), never O(subtree), and equal shapes get equal sids.
+  Full-state shapes are root sids, and each gets a dense **state id**, so
+  state keys used by the exploration engine are O(1)-comparable ints.
 
-  On a store-backed engine the interner is a **two-tier table**: the resident
-  dict is consulted first, and a miss falls back to the store's reverse
-  lookup (:meth:`~repro.engine.store.SqliteStore.get_state_id`, indexed by
-  ``shape_hash``) before a new id is ever assigned.  Attaching to a populated
-  store therefore no longer bulk-restores the whole shape table:
-  :meth:`bind_persisted` records the persisted id range (so ``len`` and new
-  id assignment stay exact), rows are pulled in on first touch, and resident
-  rows can be evicted again (:meth:`evict_states`) under a resident budget —
-  ids never change either way, which the residency property suite pins.
+  Nested tuples and the canonical binary store row
+  (:func:`~repro.io.serialization.encode_shape_binary`) are derived from a
+  sid on demand and memoized: the encoding compositionally, one *body* per
+  sid (its label framing, its child-count varint and its children's bodies
+  in nested-tuple order), so a new state's row only encodes the subtrees its
+  update rewrote.  The sid table is append-only (guard keys hold sids); the
+  nested-tuple and encoding memos are what a resident budget drops
+  (:meth:`ShapeInterner.trim_memos`).
 
-* :class:`IncrementalShaper` maintains, per state, a ``node_id -> Shape`` map
-  for the state's representative instance.  The shape of a successor is then
-  computed from the parent's map plus the applied update: only the shapes on
-  the root-to-update path are rebuilt (O(depth x branching)), instead of
-  re-walking the whole tree (O(size log size)).
+  On a store-backed engine the state ids form a **two-tier table**: the
+  resident dict is consulted first, and a miss falls back to the store's
+  reverse lookup (:meth:`~repro.engine.store.SqliteStore.get_state_id`,
+  indexed by ``shape_hash``) before a new id is ever assigned.  Attaching to
+  a populated store therefore restores nothing up front:
+  :meth:`~ShapeInterner.bind_persisted` records the persisted id range (so
+  ``len`` and new id assignment stay exact), rows are pulled in on first
+  touch, and resident rows can be evicted again
+  (:meth:`~ShapeInterner.evict_states`) under a resident budget — ids never
+  change either way, which the residency property suite pins.
+
+* :class:`IncrementalShaper` maintains, per state, a ``node_id -> sid`` map
+  for the state's representative instance.  A successor changes one
+  root-to-leaf path (the only updates are leaf additions and deletions), so
+  its root sid is derived from the parent's map: the rewrite at the updated
+  node is memoized per ``(sid, label)`` or ``(sid, leaf sid)``, and each
+  ancestor's key is rebuilt from its old key by swapping one child sid.
 
 * :func:`map_isomorphism` computes an explicit isomorphism between two
   isomorphic trees; the engine uses it to translate witness runs recorded
   against canonical representatives back onto a caller-supplied start
   instance.
+
+``tests/property/test_sid_properties.py`` pins the sid table against the
+nested-tuple reference: round trips, equal shapes ⇔ equal sids, and the
+encoding and digest of every root.
 """
 
 from __future__ import annotations
 
+import zlib
+from bisect import bisect_left, insort
 from collections import OrderedDict
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.core.guarded_form import Addition, Update
 from repro.core.instance import Instance
 from repro.core.tree import LabelledTree, Node, Shape
-from repro.engine.arena import RowId, ShapeArena
+from repro.io.serialization import SHAPE_BINARY_VERSION, write_str, write_uvarint
 
-#: Interned state identifier: an index into the interner's shape table.
+#: Interned state identifier: dense, assigned in first-interned order.
 StateId = int
 
-
-def _subtree_shape(node: Node) -> Shape:
-    """The plain (un-consed) shape of the subtree rooted at *node*."""
-    children = sorted(_subtree_shape(child) for child in node.children)
-    return (node.label, tuple(children))
+#: Interned subtree identifier: an index into the interner's key table.
+SubtreeId = int
 
 
 class ShapeInterner:
-    """A two-tier hash-consing table for tree shapes.
+    """Subtree ids for every shape the engine meets, and state ids for roots.
 
-    ``cons`` canonicalises a subtree shape (structurally equal inputs return
-    the *same* tuple object); ``state_id`` assigns a dense integer id to a
-    full-state shape.  Both directions are O(1) amortised on the resident
-    tier; ``shape_of`` recovers the shape of an id.
+    ``cons`` hash-conses one node's key; ``cons_tree`` a whole nested-tuple
+    shape; ``state_id_row`` assigns a dense state id to a root sid and
+    ``state_id`` to a nested-tuple shape.  ``nested``, ``encoded`` and
+    ``stable_hash`` derive a sid's tuple, store row and digest;
+    ``shape_of`` returns the nested tuple of a state id.
 
-    With a persistent *store* attached, ids and shapes need not all be
-    resident: a ``state_id`` miss falls back to the store's ``shape_hash``
-    reverse lookup, a ``shape_of`` miss to the store's row read, and either
-    hit re-registers the row resident.  ``len`` counts *assigned* ids (dense,
-    including non-resident ones), never just the resident slice.
+    With a persistent *store* attached, state ids need not all be resident:
+    a ``state_id_row`` miss falls back to the store's ``shape_hash`` reverse
+    lookup, a ``shape_of`` miss to the store's row read, and either hit
+    re-registers the row resident.  ``len`` counts *assigned* state ids
+    (dense, including non-resident ones), never just the resident slice.
     """
 
     def __init__(self, store=None) -> None:
-        self._cons: dict = {}  # Shape -> canonical Shape object
-        #: Row identity of every full-state shape this interner has seen;
-        #: rows carry the canonical encoding and CRC digest (built on first
-        #: use), so the id tier below works on small ints instead of nested
-        #: tuples.
-        self.arena = ShapeArena()
-        self._ids: dict = {}  # arena row -> StateId (resident tier)
-        #: StateId -> arena row, maintained in recency-of-access order
+        #: ``(label, *sorted child sids)`` -> sid, and sid -> key
+        self._sids: dict = {}
+        self._keys: list = []
+        #: ``(sid, label)`` -> sid with a *label* leaf added under the root,
+        #: ``(sid, leaf sid)`` -> sid with one such leaf child removed
+        self._edits: dict = {}
+        #: Droppable memos: sid -> nested tuple, nested tuple -> sid (the
+        #: shapes ``cons_tree`` was handed), sid -> encoding body.
+        self._nested: dict = {}
+        self._by_nested: dict = {}
+        self._bodies: dict = {}
+        self._label_framing: dict = {}  # label -> length-prefixed UTF-8
+        self._ids: dict = {}  # root sid -> StateId (resident tier)
+        #: StateId -> root sid, maintained in recency-of-access order
         #: (front = coldest) so budget eviction can drop the least recently
         #: used residents first.
         self._shapes: OrderedDict = OrderedDict()
@@ -99,105 +119,182 @@ class ShapeInterner:
         self._restored_ids: set = set()
         #: Highest id persisted when :meth:`bind_persisted` ran (-1: never).
         self._persisted_max: StateId = -1
-        self.cons_hits = 0
-        self.cons_misses = 0
         self.state_hits = 0
         self.state_misses = 0
         self.states_restored = 0
         self.states_evicted = 0
-        self.cons_pruned = 0
         self.store_id_lookups = 0
-        #: Low-water mark for :meth:`prune_cons` triggering (set by the
-        #: engine's budget enforcement; see ``ExplorationEngine``).
-        self._cons_floor = 0
+        self.memos_dropped = 0
 
-    def cons(self, shape: Shape) -> Shape:
-        """Return the canonical object for *shape* (hash-consing)."""
-        canonical = self._cons.get(shape)
-        if canonical is not None:
-            self.cons_hits += 1
-            return canonical
-        self.cons_misses += 1
-        self._cons[shape] = shape
+    # ------------------------------------------------------------------ #
+    # subtree ids
+    # ------------------------------------------------------------------ #
+
+    def cons(self, key: tuple) -> SubtreeId:
+        """The sid of the node whose key is *key* — ``(label, *child sids)``,
+        child sids sorted — assigning the next sid on first sight."""
+        sid = self._sids.get(key)
+        if sid is None:
+            sid = self._sids[key] = len(self._keys)
+            self._keys.append(key)
+        return sid
+
+    def cons_tree(self, shape: Shape) -> SubtreeId:
+        """The sid of a nested-tuple *shape*, interning every subtree of it.
+
+        Used where shapes enter the engine from outside the incremental
+        derivation path (store rows, worker answers); the shapes handed in
+        are memoized, so a shape that arrives again costs one tuple hash.
+        Child order does not matter: equal shapes get equal sids.
+        """
+        sid = self._by_nested.get(shape)
+        if sid is None:
+            sid = self._by_nested[shape] = self._cons_nested(shape)
+        return sid
+
+    def _cons_nested(self, shape: Shape) -> SubtreeId:
+        label, children = shape
+        if children:
+            key = (label, *sorted([self._cons_nested(child) for child in children]))
+        else:
+            key = (label,)
+        sid = self._sids.get(key)
+        return sid if sid is not None else self.cons(key)
+
+    def added(self, sid: SubtreeId, label: str) -> SubtreeId:
+        """The sid of subtree *sid* with one *label* leaf added under its
+        root (memoized)."""
+        edit = (sid, label)
+        result = self._edits.get(edit)
+        if result is None:
+            key = list(self._keys[sid])
+            insort(key, self.cons((label,)), 1)
+            result = self._edits[edit] = self.cons(tuple(key))
+        return result
+
+    def removed(self, sid: SubtreeId, leaf: SubtreeId) -> SubtreeId:
+        """The sid of subtree *sid* with one child of sid *leaf* removed
+        (memoized)."""
+        edit = (sid, leaf)
+        result = self._edits.get(edit)
+        if result is None:
+            key = list(self._keys[sid])
+            del key[bisect_left(key, leaf, 1)]
+            result = self._edits[edit] = self.cons(tuple(key))
+        return result
+
+    def nested(self, sid: SubtreeId) -> Shape:
+        """The nested-tuple shape of *sid* (memoized)."""
+        shape = self._nested.get(sid)
+        if shape is None:
+            key = self._keys[sid]
+            nested = self.nested
+            shape = (key[0], tuple(sorted([nested(child) for child in key[1:]])))
+            self._nested[sid] = shape
         return shape
 
-    def cons_tree(self, shape: Shape) -> Shape:
-        """Hash-cons *shape* and every subtree of it, bottom-up.
+    def _body(self, sid: SubtreeId) -> bytes:
+        """The encoding of *sid* without the version byte: label framing,
+        child-count varint, then the children's bodies in nested-tuple
+        order (memoized)."""
+        body = self._bodies.get(sid)
+        if body is None:
+            key = self._keys[sid]
+            label = key[0]
+            framing = self._label_framing.get(label)
+            if framing is None:
+                out = bytearray()
+                write_str(out, label)
+                framing = self._label_framing[label] = bytes(out)
+            out = bytearray(framing)
+            count = len(key) - 1
+            write_uvarint(out, count)
+            children = key[1:]
+            # sorted by sid, so equal ends mean every child is one subtree
+            if count > 1 and children[0] != children[-1]:
+                children = sorted(children, key=self.nested)
+            for child in children:
+                out += self._body(child)
+            body = self._bodies[sid] = bytes(out)
+        return body
 
-        Used when a shape enters the engine from outside the incremental
-        derivation path (store rows, worker shard hydration): the returned
-        canonical object has canonical children all the way down, so equality
-        checks against engine-derived shapes keep their identity
-        short-circuit.
+    def encoded(self, sid: SubtreeId) -> bytes:
+        """The canonical binary encoding of *sid*: byte for byte
+        :func:`~repro.io.serialization.encode_shape_binary` of its nested
+        shape, the store-row format."""
+        return bytes((SHAPE_BINARY_VERSION,)) + self._body(sid)
+
+    def stable_hash(self, sid: SubtreeId) -> int:
+        """:func:`~repro.io.serialization.stable_shape_hash` of *sid*: the
+        CRC of its encoding."""
+        return zlib.crc32(self.encoded(sid))
+
+    def trim_memos(self, limit: int = 4096) -> int:
+        """Drop the nested-tuple and encoding memos once they hold more than
+        *limit* entries (budget enforcement); returns the entries dropped.
+
+        Sids stay valid: every memo is recomputed from the key table on
+        demand.
         """
-        canonical = self._cons.get(shape)
-        if canonical is not None:
-            self.cons_hits += 1
-            return canonical
-        label, children = shape
-        consed = (label, tuple(self.cons_tree(child) for child in children))
-        self.cons_misses += 1
-        self._cons[consed] = consed
-        return consed
+        memos = (self._nested, self._by_nested, self._bodies)
+        held = sum(len(memo) for memo in memos)
+        if held <= limit:
+            return 0
+        for memo in memos:
+            memo.clear()
+        self.memos_dropped += held
+        return held
+
+    # ------------------------------------------------------------------ #
+    # state ids
+    # ------------------------------------------------------------------ #
 
     def state_id(self, shape: Shape) -> tuple[StateId, bool]:
-        """Intern a full-state shape; return ``(id, is_new)``.
+        """Intern a nested-tuple full-state shape; return ``(id, is_new)``
+        (see :meth:`state_id_row`)."""
+        return self.state_id_row(self.cons_tree(shape))
 
-        The resident tier answers first; when persisted non-resident rows
-        exist, an unknown shape consults the store's reverse lookup and — on
-        a hit — is restored resident under its persisted id.  Only a shape
-        absent from both tiers gets a fresh id, so ids are bit-identical
-        whether or not rows were hydrated or evicted in between.
-        """
-        return self.state_id_row(self.arena.intern_cons(shape))
-
-    def state_id_row(self, row: RowId) -> tuple[StateId, bool]:
-        """Intern a full-state shape given as an arena row; return
+    def state_id_row(self, sid: SubtreeId) -> tuple[StateId, bool]:
+        """Intern the full-state shape with root sid *sid*; return
         ``(id, is_new)``.
 
-        The wire-decode entry point: frames materialise their shape tables
-        straight into arena rows, so the whole resident-tier lookup is one
-        int-keyed dict probe.  The store fallback hands the row's cached
-        digest and canonical encoding to the reverse lookup — no re-encode,
-        no tuple materialisation for already-persisted shapes.
+        The resident tier answers first; when persisted non-resident rows
+        exist, an unknown shape consults the store's reverse lookup with the
+        sid's digest and encoding and — on a hit — is restored resident
+        under its persisted id.  Only a shape absent from both tiers gets a
+        fresh id, so ids are bit-identical whether or not rows were hydrated
+        or evicted in between.
         """
-        existing = self._ids.get(row)
+        existing = self._ids.get(sid)
         if existing is not None:
             self.state_hits += 1
             self._shapes.move_to_end(existing)
             return existing, False
-        arena = self.arena
-        if self._nonresident > 0 and self._store is not None:
+        store = self._store
+        if self._nonresident > 0 and store is not None:
             self.store_id_lookups += 1
-            found = self._store.get_state_id(
-                None, digest=arena.stable_hash(row), encoded=arena.encoded(row)
-            )
+            encoded = self.encoded(sid)
+            found = store.get_state_id(None, digest=zlib.crc32(encoded), encoded=encoded)
             if found is not None:
-                self._make_resident_row(found, row)
+                self._make_resident(found, sid)
                 self.state_hits += 1
                 return found, False
         self.state_misses += 1
         new_id = self._next_id
         self._next_id += 1
-        self._ids[row] = new_id
-        self._shapes[new_id] = row
-        if self._store is not None:
-            self._store.put_shape(
-                new_id, None, encoded=arena.encoded(row), digest=arena.stable_hash(row)
-            )
+        self._ids[sid] = new_id
+        self._shapes[new_id] = sid
+        if store is not None:
+            encoded = self.encoded(sid)
+            store.put_shape(new_id, None, encoded=encoded, digest=zlib.crc32(encoded))
         return new_id, True
 
-    def _make_resident(self, state_id: StateId, shape: Shape) -> Shape:
+    def _make_resident(self, state_id: StateId, sid: SubtreeId) -> None:
         """Register a store row on the resident tier (shared restore path)."""
-        canonical = self.cons_tree(shape)
-        self._make_resident_row(state_id, self.arena.intern_cons(canonical))
-        return canonical
-
-    def _make_resident_row(self, state_id: StateId, row: RowId) -> None:
         if state_id not in self._shapes and self._nonresident > 0:
             self._nonresident -= 1
-        self._ids[row] = state_id
-        self._shapes[state_id] = row
+        self._ids[sid] = state_id
+        self._shapes[state_id] = sid
         if state_id <= self._persisted_max:
             self._restored_ids.add(state_id)
         self.states_restored += 1
@@ -214,19 +311,18 @@ class ShapeInterner:
         """
         self._next_id = max(self._next_id, max_state_id + 1)
         self._persisted_max = max(self._persisted_max, max_state_id)
-        resident_persisted = sum(1 for sid in self._shapes if sid <= max_state_id)
+        resident_persisted = sum(1 for state_id in self._shapes if state_id <= max_state_id)
         self._nonresident = max(0, row_count - resident_persisted)
 
     def restore(self, state_id: StateId, shape: Shape) -> None:
-        """Re-intern a persisted shape under its recorded id (hydration).
+        """Re-intern a persisted nested-tuple shape under its recorded id.
 
-        Unlike the historic bulk-hydration path this no longer requires
-        dense, in-id-order restores: any persisted row may be restored at any
-        time (the two-tier fallback does exactly that on first touch), and
-        restoring an already-resident row is a harmless overwrite.  Restored
-        rows are not written back to the store.
+        Any persisted row may be restored at any time (the two-tier fallback
+        does exactly that on first touch), and restoring an already-resident
+        row is a harmless overwrite.  Restored rows are not written back to
+        the store.
         """
-        self._make_resident(state_id, shape)
+        self._make_resident(state_id, self.cons_tree(shape))
         self._next_id = max(self._next_id, state_id + 1)
 
     def evict_states(self, keep: int) -> int:
@@ -240,74 +336,44 @@ class ShapeInterner:
             return 0
         evicted = 0
         while len(self._shapes) > keep:
-            state_id, row = self._shapes.popitem(last=False)
-            del self._ids[row]
+            _state_id, sid = self._shapes.popitem(last=False)
+            del self._ids[sid]
             self._nonresident += 1
             evicted += 1
         self.states_evicted += evicted
         return evicted
 
-    def prune_cons(self, keep: Iterable[Shape] = ()) -> int:
-        """Rebuild the subtree hash-consing table from *keep* (typically the
-        engine's resident shape-map values) and drop the droppable arena
-        memos (tuple→row, row→tuple).
-
-        Dropped entries cost nothing but sharing: a re-consed subtree is a
-        fresh-but-equal tuple, every consumer compares shapes structurally,
-        and the arena's row encodings — the ground truth for ids, digests
-        and shapes — are untouched.  Returns the number of cons entries
-        dropped.
-        """
-        before = len(self._cons)
-        fresh: dict = {}
-        for shape in keep:
-            fresh[shape] = shape
-        self._cons = fresh
-        self._cons_floor = len(fresh)
-        self.arena.drop_cons_cache()
-        dropped = max(0, before - len(fresh))
-        self.cons_pruned += dropped
-        return dropped
-
-    def cons_prune_due(self, floor: int = 4096) -> bool:
-        """Whether the subtree cons table has grown enough (doubled since
-        the last prune, and past *floor*) to be worth rebuilding."""
-        return len(self._cons) > max(floor, 2 * self._cons_floor)
-
     def lookup(self, shape: Shape) -> Optional[StateId]:
-        """The id of *shape* if it is resident, else ``None`` (the resident
-        tier only; ``state_id`` is the store-consulting entry point)."""
-        row = self.arena.find_cons(shape)
-        if row is None:
-            return None
-        return self._ids.get(row)
+        """The id of the nested-tuple *shape* if it is resident, else
+        ``None`` (the resident tier only; ``state_id`` is the
+        store-consulting entry point)."""
+        return self._ids.get(self.cons_tree(shape))
 
-    def shape_of(self, state_id: StateId) -> Shape:
-        """The shape interned under *state_id* (restored from the store when
-        not resident)."""
-        row = self._shapes.get(state_id)
-        if row is not None:
+    def _root_sid(self, state_id: StateId) -> SubtreeId:
+        """The root sid of *state_id* (restored from the store when not
+        resident)."""
+        sid = self._shapes.get(state_id)
+        if sid is not None:
             self._shapes.move_to_end(state_id)
-            return self.arena.cons_of(row)
+            return sid
         if self._store is not None and 0 <= state_id < self._next_id:
             stored = self._store.get_shape(state_id)
             if stored is not None:
-                return self._make_resident(state_id, stored)
+                sid = self.cons_tree(stored)
+                self._make_resident(state_id, sid)
+                return sid
         raise IndexError(
             f"state id {state_id} is not interned (and not in the backing store)"
         )
 
+    def shape_of(self, state_id: StateId) -> Shape:
+        """The nested-tuple shape interned under *state_id*."""
+        return self.nested(self._root_sid(state_id))
+
     def stable_hash_of(self, state_id: StateId) -> int:
         """The :func:`~repro.io.serialization.stable_shape_hash` of the shape
-        interned under *state_id*, served from the arena row's cached digest
-        (restoring the row from the store when not resident)."""
-        row = self._shapes.get(state_id)
-        if row is None:
-            self.shape_of(state_id)  # restores the row resident
-            row = self._shapes[state_id]
-        else:
-            self._shapes.move_to_end(state_id)
-        return self.arena.stable_hash(row)
+        interned under *state_id*."""
+        return self.stable_hash(self._root_sid(state_id))
 
     @property
     def resident(self) -> int:
@@ -321,133 +387,143 @@ class ShapeInterner:
         return len(self._restored_ids)
 
     def __len__(self) -> int:
-        """Assigned ids — resident or not — exactly as before partial
-        hydration existed."""
+        """Assigned state ids — resident or not."""
         return self._next_id
 
     def stats(self) -> dict:
         """Counter snapshot for :class:`AnalysisResult` stats."""
         return {
             "interned_states": self._next_id,
-            "interned_subtrees": len(self._cons),
+            "interned_subtrees": len(self._keys),
+            "subtree_edits": len(self._edits),
             "states_resident": len(self._shapes),
             "state_hits": self.state_hits,
             "state_misses": self.state_misses,
-            "cons_hits": self.cons_hits,
-            "cons_misses": self.cons_misses,
             "states_restored": self.states_restored,
             "states_restored_distinct": len(self._restored_ids),
             "states_evicted": self.states_evicted,
-            "cons_pruned": self.cons_pruned,
             "store_id_lookups": self.store_id_lookups,
-            **self.arena.stats(),
+            "memos_dropped": self.memos_dropped,
         }
 
 
 class IncrementalShaper:
-    """Computes successor shapes incrementally from per-state shape maps."""
+    """Derives successor shapes incrementally from per-state sid maps."""
 
     def __init__(self, interner: ShapeInterner) -> None:
         self._interner = interner
-        self.nodes_rehashed = 0  # shape rebuilds actually performed
+        self.nodes_rehashed = 0  # node keys actually rebuilt
         self.nodes_full_equivalent = 0  # what full per-successor walks would cost
 
-    def full_map(self, tree: LabelledTree) -> dict[int, Shape]:
-        """``node_id -> consed subtree shape`` for every node of *tree*."""
+    def full_map(self, tree: LabelledTree) -> dict[int, SubtreeId]:
+        """``node_id -> sid`` for every node of *tree*."""
+        sids = self._interner._sids
         cons = self._interner.cons
-        shape_map: dict[int, Shape] = {}
-
-        def build(node: Node) -> Shape:
-            children = sorted(build(child) for child in node.children)
-            shape = cons((node.label, tuple(children)))
-            shape_map[node.node_id] = shape
-            return shape
-
-        build(tree.root)
-        self.nodes_rehashed += tree.size()
-        self.nodes_full_equivalent += tree.size()
+        shape_map: dict[int, SubtreeId] = {}
+        # reversed pre-order visits every node after all of its descendants
+        for node in reversed(list(tree.nodes())):
+            children = node.children
+            if children:
+                key = (node.label, *sorted([shape_map[child.node_id] for child in children]))
+            else:
+                key = (node.label,)
+            sid = sids.get(key)
+            shape_map[node.node_id] = sid if sid is not None else cons(key)
+        self.nodes_rehashed += len(shape_map)
+        self.nodes_full_equivalent += len(shape_map)
         return shape_map
+
+    def _rewrite(
+        self,
+        instance: Instance,
+        shape_map: dict,
+        update: Update,
+        out: Optional[dict],
+    ) -> SubtreeId:
+        """The root sid of ``apply(update)`` to *instance*, whose map is
+        *shape_map*; the new sid of every node on the updated path is
+        written to *out* when given."""
+        interner = self._interner
+        is_addition = isinstance(update, Addition)
+        if is_addition:
+            node = instance.node(update.parent_id)
+            new = interner._edits.get((shape_map[node.node_id], update.label))
+            if new is None:
+                new = interner.added(shape_map[node.node_id], update.label)
+            rehashed = 2  # the new leaf and its parent
+        else:
+            leaf = instance.node(update.node_id)
+            node = leaf.parent
+            new = interner.removed(shape_map[node.node_id], shape_map[leaf.node_id])
+            rehashed = 1
+        if out is not None:
+            out[node.node_id] = new
+        keys = interner._keys
+        sids = interner._sids
+        parent = node.parent
+        while parent is not None:
+            # swap the rewritten child's sid in the parent's key
+            key = keys[shape_map[parent.node_id]]
+            if len(key) == 2:
+                key = (key[0], new)
+            else:
+                key = list(key)
+                del key[bisect_left(key, shape_map[node.node_id], 1)]
+                insort(key, new, 1)
+                key = tuple(key)
+            new = sids.get(key)
+            if new is None:
+                new = interner.cons(key)
+            if out is not None:
+                out[parent.node_id] = new
+            rehashed += 1
+            node = parent
+            parent = node.parent
+        self.nodes_rehashed += rehashed
+        self.nodes_full_equivalent += instance.size() + (1 if is_addition else -1)
+        return new
 
     def successor(
         self,
         instance: Instance,
-        shape_map: dict[int, Shape],
+        shape_map: dict[int, SubtreeId],
         update: Update,
-    ) -> tuple[Instance, dict[int, Shape], Shape]:
+    ) -> tuple[Instance, dict[int, SubtreeId], SubtreeId]:
         """Apply *update* to a copy of *instance* and derive the successor's
-        shape map from the parent's.
+        sid map from the parent's.
 
-        Returns ``(successor instance, successor shape map, root shape)``.
-        Only the nodes on the path from the updated leaf to the root are
-        re-hashed; every untouched subtree reuses the parent's consed shape.
+        Returns ``(successor instance, successor sid map, root sid)``.  Only
+        the nodes on the path from the updated node to the root get new
+        sids; every untouched subtree keeps the parent's.
         """
-        successor = instance.copy()
         new_map = dict(shape_map)
+        root = self._rewrite(instance, shape_map, update, new_map)
+        successor = instance.copy()
         if isinstance(update, Addition):
             leaf = successor.add_field(successor.node(update.parent_id), update.label)
-            new_map[leaf.node_id] = self._interner.cons((update.label, ()))
-            dirty = leaf.parent
-            self.nodes_rehashed += 1
+            new_map[leaf.node_id] = self._interner.cons((update.label,))
         else:
-            node = successor.node(update.node_id)
-            dirty = node.parent
-            successor.remove_field(node)
+            successor.remove_field(successor.node(update.node_id))
             del new_map[update.node_id]
-        cons = self._interner.cons
-        while dirty is not None:
-            children = sorted(new_map[child.node_id] for child in dirty.children)
-            new_map[dirty.node_id] = cons((dirty.label, tuple(children)))
-            self.nodes_rehashed += 1
-            dirty = dirty.parent
-        self.nodes_full_equivalent += successor.size()
-        return successor, new_map, new_map[successor.root.node_id]
+        return successor, new_map, root
 
     def successor_shape(
         self,
         instance: Instance,
-        shape_map: dict[int, Shape],
+        shape_map: dict[int, SubtreeId],
         update: Update,
-    ) -> Shape:
-        """The root shape of ``apply(update)`` *without* materialising the
+    ) -> SubtreeId:
+        """The root sid of ``apply(update)`` *without* materialising the
         successor instance.
 
-        Equivalent to ``successor(...)[2]`` — the same consed shapes, built
-        by the same root-to-update-path rebuild — but skipping the deep copy
-        of the instance and the successor shape map.  Both the serial engine
-        (every candidate, before it knows whether the successor is new) and
-        the frontier workers (which ship shape-table references, never
-        successor instances) use it; :meth:`successor` runs only when a
-        successor's representative is actually needed.
+        Equivalent to ``successor(...)[2]`` — the same path rewrite — but
+        skipping the deep copy of the instance and the successor sid map.
+        Both the serial engine (every candidate, before it knows whether the
+        successor is new) and the frontier workers use it;
+        :meth:`successor` runs only when a successor's representative is
+        actually needed.
         """
-        cons = self._interner.cons
-        if isinstance(update, Addition):
-            dirty = instance.node(update.parent_id)
-            extra: Optional[Shape] = cons((update.label, ()))
-            removed_id = None
-            self.nodes_rehashed += 1
-        else:
-            node = instance.node(update.node_id)
-            dirty = node.parent
-            extra = None
-            removed_id = update.node_id
-        new_shape: Optional[Shape] = None
-        rebuilt = dirty
-        while dirty is not None:
-            children = [
-                new_shape if child is rebuilt else shape_map[child.node_id]
-                for child in dirty.children
-                if child.node_id != removed_id
-            ]
-            if extra is not None:
-                children.append(extra)
-                extra = None
-            new_shape = cons((dirty.label, tuple(sorted(children))))
-            self.nodes_rehashed += 1
-            rebuilt = dirty
-            dirty = dirty.parent
-        self.nodes_full_equivalent += instance.size() + (1 if removed_id is None else -1)
-        assert new_shape is not None  # the dirty node always exists
-        return new_shape
+        return self._rewrite(instance, shape_map, update, None)
 
     def stats(self) -> dict:
         """Counter snapshot for :class:`AnalysisResult` stats."""
@@ -459,18 +535,36 @@ class IncrementalShaper:
         }
 
 
+def _node_shape(node: Node, shapes: dict) -> Shape:
+    """The shape of *node*, given the shapes of its children in *shapes*."""
+    return (node.label, tuple(sorted([shapes[child.node_id] for child in node.children])))
+
+
+def _shape_table(root: Node) -> dict:
+    """``node_id -> shape`` for every node under *root*, each computed once."""
+    shapes: dict = {}
+    # reversed pre-order visits every node after all of its descendants
+    for node in reversed(list(root.iter_subtree())):
+        shapes[node.node_id] = _node_shape(node, shapes)
+    return shapes
+
+
 def map_isomorphism(source: Node, target: Node) -> dict[int, int]:
     """An explicit isomorphism (``source node_id -> target node_id``) between
     the isomorphic trees rooted at *source* and *target*.
 
     Children are matched by sorted subtree shape; within a group of
     same-shape siblings any pairing is an isomorphism (they are related by an
-    automorphism), so the first consistent one is returned.
+    automorphism), so the first consistent one is returned.  Each node's
+    shape is computed once per tree, so the cost is linear in the tree size
+    plus the sibling sorts.
 
     Raises:
         ValueError: when the trees are not isomorphic.
     """
-    if _subtree_shape(source) != _subtree_shape(target):
+    source_shapes = _shape_table(source)
+    target_shapes = _shape_table(target)
+    if source_shapes[source.node_id] != target_shapes[target.node_id]:
         raise ValueError("cannot map between non-isomorphic trees")
     mapping: dict[int, int] = {}
     stack = [(source, target)]
@@ -479,8 +573,8 @@ def map_isomorphism(source: Node, target: Node) -> dict[int, int]:
         mapping[from_node.node_id] = to_node.node_id
         stack.extend(
             zip(
-                sorted(from_node.children, key=_subtree_shape),
-                sorted(to_node.children, key=_subtree_shape),
+                sorted(from_node.children, key=lambda node: source_shapes[node.node_id]),
+                sorted(to_node.children, key=lambda node: target_shapes[node.node_id]),
             )
         )
     return mapping

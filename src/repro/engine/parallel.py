@@ -18,8 +18,13 @@ property the differential suite (``tests/engine/test_parallel.py``) pins per
 benchgen family:
 
 * state ids are assigned by the coordinator only, in the serial engine's
-  pop/candidate order (workers never intern; they return shape-table
-  indices);
+  pop/candidate order (workers never intern state ids; they return
+  shape-table indices);
+* subtree ids are local to each process's interner, so workers ship nested
+  tuples — root shapes and the subtree terms of ``A``/``D`` guard keys — and
+  the coordinator maps them back to its own subtree ids through the
+  interner's nested-tuple memo
+  (:meth:`~repro.engine.interning.ShapeInterner.cons_tree`);
 * a genuinely new successor records the same origin (parent id, update) the
   serial engine records, and its canonical representative is derived *by the
   coordinator*, on first use, with the exact incremental derivation the
@@ -53,6 +58,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.engine.engine import ExplorationEngine
+from repro.engine.guards import map_subtree_keys
 from repro.engine.interning import StateId
 from repro.engine.store import StateStore
 from repro.engine.wire import WireFrame
@@ -209,8 +215,8 @@ class ParallelExplorationEngine(ExplorationEngine):
     def _shard_of(self, state_id: StateId) -> int:
         shard = self._shards.get(state_id)
         if shard is None:
-            # the arena caches one digest per deduplicated row, so this is a
-            # dict probe after the first ask — no re-encoding per state
+            # the digest is memoized per root subtree id, and the encoding
+            # reuses the bodies of the subtrees it shares with earlier states
             shard = self.interner.stable_hash_of(state_id) % self.workers
             self._shards[state_id] = shard
         return shard
@@ -269,6 +275,8 @@ class ParallelExplorationEngine(ExplorationEngine):
             self.shutdown_workers()
             raise
         wave_bytes = 0
+        # worker keys carry nested tuples; cons_tree memoizes the ones seen
+        cons_tree = self.interner.cons_tree
         for data in raw_frames:
             frame = WireFrame(data)  # unpickled on receipt
             wave_bytes += len(frame)
@@ -277,7 +285,7 @@ class ParallelExplorationEngine(ExplorationEngine):
             self.wire_guard_bytes += frame.guard_nbytes
             self.wire_shape_refs += frame.total_candidates
             self.wire_shape_table_entries += frame.shape_count
-            for key, value in frame.guard_entries:
+            for key, value in map_subtree_keys(frame.guard_entries, cons_tree):
                 self.guards.restore(key, value)
             self.worker_guard_entries_merged += len(frame.guard_entries)
             for staged_id in frame.state_ids():
@@ -329,23 +337,20 @@ class ParallelExplorationEngine(ExplorationEngine):
         shape-table lookup only.
         """
         interner = self.interner
-        rows = frame.shape_rows(interner.arena)
+        sids = frame.shape_rows(interner)
         raw_candidates, guard_queries = frame.expansion(state_id)
         self.wire_decode_seconds += frame.take_decode_seconds()
         parent = self.representative(state_id)
         parent_map = self._shape_map_of(state_id)
         candidates: list = []
         for update, shape_index, is_addition, succ_size, copies in raw_candidates:
-            succ_id, is_new = interner.state_id_row(rows[shape_index])
+            root = sids[shape_index]
+            succ_id, is_new = interner.state_id_row(root)
             if is_new:
-                root = self.shaper.successor_shape(parent, parent_map, update)
-                if interner.arena.intern_cons(root) != rows[shape_index]:
-                    # the arena deduplicates rows by shape, so row equality
-                    # is exactly shape equality: the worker-computed table
-                    # entry and the coordinator-derived root must land on
-                    # the same row.  Inequality means the worker's and the
-                    # coordinator's derivations drifted and the graph would
-                    # silently corrupt
+                if self.shaper.successor_shape(parent, parent_map, update) != root:
+                    # equal subtree ids are equal shapes, so inequality means
+                    # the worker's and the coordinator's derivations drifted
+                    # and the graph would silently corrupt
                     raise AnalysisError(
                         f"wire shape for state {succ_id} does not match the "
                         "coordinator-derived successor shape (shaper drift)"

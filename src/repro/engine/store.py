@@ -30,8 +30,8 @@ exploration to one process.  This module puts a storage protocol underneath:
   hot path neither serialises per row nor touches the database for recently
   used states.  A fingerprint of the guarded form is recorded on first attach
   and verified on every later one — a store can never silently answer for the
-  wrong form.  Shape rows are written as the shape arena's canonical binary
-  encoding; the read path also decodes the JSON rows that earlier builds
+  wrong form.  Shape rows are written as the interner's canonical binary
+  encoding of each root subtree id; the read path also decodes the JSON rows that earlier builds
   wrote, so their stores still attach and resume.  The ``guards`` table such
   stores may hold is never read, and their representative rows — a full
   instance for every state — read like any other full row.
@@ -134,8 +134,8 @@ class StateStore:
     ) -> None:
         """Record a newly interned full-state shape.
 
-        Callers holding an arena row pass its cached canonical *encoded*
-        bytes and CRC *digest* (and may pass ``shape=None``); plain callers
+        The interner passes the canonical *encoded* bytes and CRC *digest* it
+        built for the root subtree id (and ``shape=None``); plain callers
         pass the nested-tuple shape alone and the store derives both.
         """
 
@@ -164,8 +164,8 @@ class StateStore:
 
         This is what lets the interner stay partially hydrated: an unknown
         shape is checked against the store before a fresh id is assigned.
-        As with :meth:`put_shape`, arena-backed callers pass the cached
-        *digest*/*encoded* pair instead of (or alongside) the tuple.
+        As with :meth:`put_shape`, the interner passes the *digest*/*encoded*
+        pair instead of the tuple.
         """
         del shape, digest, encoded
         return None
@@ -264,8 +264,8 @@ class SqliteStore(SqliteBacked, StateStore):
         cache_size: capacity of each of the shape and representative LRU
             read caches.
 
-    Shape rows are byte for byte the shape arena's cached canonical
-    encoding (:func:`~repro.io.serialization.encode_shape_binary`), so the
+    Shape rows are byte for byte the interner's canonical encoding
+    (:func:`~repro.io.serialization.encode_shape_binary`), so the
     reverse lookup is bytes equality — no decode at all on the hot attach
     path.  Reads decode either format per row
     (:func:`~repro.io.serialization.decode_shape_row`), so stores holding the

@@ -23,8 +23,12 @@ shared, so a label or subtree that occurs in several places is written once
 and referenced after that, and the coordinator can count the bytes of each
 part: ``guard_nbytes`` and ``expansion_nbytes`` both exclude the telemetry.
 
-The coordinator (:class:`~repro.engine.parallel.ParallelExplorationEngine`)
-unpickles an answer when its wave arrives, and interns the shape table
+Subtree ids are local to one interner, so the answer names every shape by
+nested tuple: the shape table, and the subtree term of each ``A``/``D``
+guard key (:func:`~repro.engine.guards.map_subtree_keys`).  The coordinator
+(:class:`~repro.engine.parallel.ParallelExplorationEngine`) unpickles an
+answer when its wave arrives, maps the guard keys back to its own subtree
+ids, and interns the shape table to root subtree ids
 (:meth:`WireFrame.shape_rows`) and builds a state's candidates
 (:meth:`WireFrame.expansion`) only when the exploration loop pops that
 state — so interning order, and with it every dense state id, stays
@@ -45,7 +49,6 @@ import pickle
 import time
 
 from repro.core.guarded_form import Addition, Deletion, Update
-from repro.core.tree import Shape
 from repro.exceptions import WireFormatError
 
 __all__ = ["FrameEncoder", "WireFrame", "pr3_encoding_cost"]
@@ -55,27 +58,31 @@ class FrameEncoder:
     """Builds one worker answer to one task batch.
 
     ``add_state`` accepts the raw candidate tuples the expansion produced —
-    ``(update, root shape, is_addition, successor size, copies)`` — and
-    lists each distinct root shape once in the answer's shape table;
-    ``add_guard_entries`` attaches the guard evaluations the batch performed;
-    ``finish`` pickles the answer.
+    ``(update, root, is_addition, successor size, copies)`` — and lists each
+    distinct root once in the answer's shape table, as the nested tuple
+    *nested* gives for it (a worker passes root subtree ids and its
+    interner's :meth:`~repro.engine.interning.ShapeInterner.nested`; by
+    default roots are nested tuples already); ``add_guard_entries`` attaches
+    the guard evaluations the batch performed; ``finish`` pickles the answer.
     """
 
-    def __init__(self) -> None:
-        self._shape_index: dict = {}  # Shape -> table index
+    def __init__(self, nested=None) -> None:
+        self._nested = nested
+        self._shape_index: dict = {}  # root -> table index
         self._shapes: list = []
         self._states: list = []
         self._guards: list = []
         self._telemetry = None
         self.candidates_encoded = 0
 
-    def shape_ref(self, shape: Shape) -> int:
-        """The shape-table index of *shape*, appending it on first occurrence."""
-        index = self._shape_index.get(shape)
+    def shape_ref(self, root) -> int:
+        """The shape-table index of *root*, appending its shape on first
+        occurrence."""
+        index = self._shape_index.get(root)
         if index is None:
             index = len(self._shapes)
-            self._shape_index[shape] = index
-            self._shapes.append(shape)
+            self._shape_index[root] = index
+            self._shapes.append(root if self._nested is None else self._nested(root))
         return index
 
     def add_state(self, state_id: int, candidates: list, guard_queries: int) -> None:
@@ -83,19 +90,19 @@ class FrameEncoder:
 
         Args:
             state_id: the canonical id the coordinator addressed the state by.
-            candidates: ``(update, root shape, is_addition, successor size,
+            candidates: ``(update, root, is_addition, successor size,
                 copies before)`` tuples in enumeration order.
             guard_queries: guard-cache queries this expansion performed.
         """
         shape_ref = self.shape_ref
         packed = []
-        for update, shape, is_addition, succ_size, copies in candidates:
+        for update, root, is_addition, succ_size, copies in candidates:
             if is_addition:
                 packed.append(
-                    (update.parent_id, update.label, shape_ref(shape), succ_size, copies)
+                    (update.parent_id, update.label, shape_ref(root), succ_size, copies)
                 )
             else:
-                packed.append((update.node_id, shape_ref(shape), succ_size))
+                packed.append((update.node_id, shape_ref(root), succ_size))
         self._states.append((state_id, guard_queries, packed))
         self.candidates_encoded += len(packed)
 
@@ -169,7 +176,7 @@ class WireFrame:
             raise WireFormatError(f"malformed answer: {exc}") from None
         #: Total candidates across all states (for dedup-rate metrics).
         self.total_candidates = total
-        self._arena_rows = None
+        self._sids = None
         self.decode_seconds = time.perf_counter() - started
 
     def __len__(self) -> int:
@@ -179,15 +186,16 @@ class WireFrame:
         """The state ids this answer carries expansions for, in batch order."""
         return list(self._states)
 
-    def shape_rows(self, arena) -> list:
-        """The shape table as :class:`~repro.engine.arena.ShapeArena` rows
-        (memoized; interned on first call)."""
-        if self._arena_rows is None:
+    def shape_rows(self, interner) -> list:
+        """The shape table as root subtree ids of *interner* (a
+        :class:`~repro.engine.interning.ShapeInterner`; memoized, interned
+        on first call)."""
+        if self._sids is None:
             started = time.perf_counter()
-            intern = arena.intern_cons
-            self._arena_rows = [intern(shape) for shape in self._shapes]
+            cons_tree = interner.cons_tree
+            self._sids = [cons_tree(shape) for shape in self._shapes]
             self.decode_seconds += time.perf_counter() - started
-        return self._arena_rows
+        return self._sids
 
     def expansion(self, state_id: int) -> tuple[list, int]:
         """One state's expansion: ``(raw candidates, guard queries)``.

@@ -22,10 +22,12 @@ node id for node id.
 Workers never intern canonical state ids: interning order determines the
 engine's dense id assignment, and keeping it on the coordinator (which merges
 in serial pop order) is what makes parallel runs bit-identical to serial
-ones.  On a store-backed exploration each worker hydrates only its own
-``stable_shape_hash % N`` slice of the persisted shape table into its local
-subtree caches (:func:`~repro.engine.store.load_shard_shape_rows`), so
-worker residency scales with the shard, never the whole table.  What
+ones.  Subtree ids are local to a worker's interner too, so everything an
+answer carries names shapes by nested tuple.  On a store-backed exploration
+each worker hydrates only its own ``stable_shape_hash % N`` slice of the
+persisted shape table into its local subtree ids
+(:func:`~repro.engine.store.load_shard_shape_rows`), so worker residency
+scales with the shard, never the whole table.  What
 workers *do* share is guard evaluations: each worker keeps an in-memory
 :class:`~repro.engine.guards.GuardCache` keyed identically to the
 coordinator's (states are addressed by their canonical ids, shipped with the
@@ -42,7 +44,7 @@ from typing import Optional
 
 from repro.core.guarded_form import GuardedForm, Update
 from repro.engine.engine import enumerate_expansion
-from repro.engine.guards import GuardCache
+from repro.engine.guards import GuardCache, map_subtree_keys
 from repro.engine.interning import IncrementalShaper, ShapeInterner
 from repro.engine.store import load_shard_shape_rows
 from repro.engine.wire import FrameEncoder
@@ -90,7 +92,7 @@ class FrontierWorker:
         #: Guard entries already shipped to the coordinator: the cache's
         #: first ``_guards_reported`` entries.
         self._guards_reported = 0
-        #: Persisted shapes pre-consed into this worker's local interner —
+        #: Persisted shapes interned into this worker's local interner —
         #: only its own ``stable_shape_hash % nshards`` slice (capped at
         #: :data:`SHARD_HYDRATION_LIMIT`), never the whole table, so worker
         #: residency stays proportional to the shard and bounded.
@@ -106,9 +108,9 @@ class FrontierWorker:
     def expand(self, state_id: int, blob: str) -> tuple:
         """Expansion payload for one state: ``(candidates, queries)``.
 
-        Candidates are raw ``(update, root shape, is_addition, successor
-        size, copies)`` tuples — the answer encoder lists each distinct root
-        shape once in the batch's shape table.
+        Candidates are raw ``(update, root sid, is_addition, successor size,
+        copies)`` tuples — the answer encoder lists each distinct root shape
+        once in the batch's shape table, as a nested tuple.
         """
         instance = decode_instance_with_ids(blob, self._form.schema)
         shape_map = self._shaper.full_map(instance)
@@ -116,8 +118,8 @@ class FrontierWorker:
         queries_before = guards.hits + guards.misses
 
         def candidate(update: Update, is_addition: bool, succ_size: int, copies: int) -> tuple:
-            root_shape = self._shaper.successor_shape(instance, shape_map, update)
-            return (update, root_shape, is_addition, succ_size, copies)
+            root = self._shaper.successor_shape(instance, shape_map, update)
+            return (update, root, is_addition, succ_size, copies)
 
         candidates = enumerate_expansion(instance, shape_map, guards, state_id, candidate)
         return (candidates, guards.hits + guards.misses - queries_before)
@@ -127,18 +129,21 @@ class FrontierWorker:
 
         The guard entries evaluated since the last batch — the tail of the
         worker's guard cache — are packed into the answer for the
-        coordinator to merge.  With telemetry enabled the batch's spans and
-        metric deltas ride in the answer for the coordinator to merge.
+        coordinator to merge, their subtree ids replaced by nested tuples
+        (subtree ids are local to this worker's interner).  With telemetry
+        enabled the batch's spans and metric deltas ride in the answer for
+        the coordinator to merge.
         """
         obs = self.telemetry
         batch_started = obs.now()
-        encoder = FrameEncoder()
+        nested = self._interner.nested
+        encoder = FrameEncoder(nested)
         for state_id, blob in batch:
             candidates, queries = self.expand(state_id, blob)
             encoder.add_state(state_id, candidates, queries)
         entries = self._guards.entries_since(self._guards_reported)
         self._guards_reported += len(entries)
-        encoder.add_guard_entries(entries)
+        encoder.add_guard_entries(map_subtree_keys(entries, nested))
         if obs.enabled:
             obs.end_span(
                 "worker.batch",

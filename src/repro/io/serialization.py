@@ -16,8 +16,8 @@ the persistent :mod:`repro.engine.store` backends use for their rows:
   engine records transitions against representative node ids, so a resumed
   exploration must rebuild representatives id-for-id);
 * the **binary shape rows** (:func:`encode_shape_binary` /
-  :func:`decode_shape_binary`) — byte for byte the shape arena's canonical
-  encoding — over the :func:`write_uvarint` / :func:`read_uvarint` and
+  :func:`decode_shape_binary`) — byte for byte what the interner encodes
+  per subtree id — over the :func:`write_uvarint` / :func:`read_uvarint` and
   :func:`write_str` / :func:`read_str` primitives; :func:`decode_shape_row`
   also reads JSON shape rows, so stores written by earlier builds still
   open; plus :func:`stable_shape_hash`, the process-stable CRC digest shared
@@ -351,7 +351,7 @@ def stable_shape_hash(shape: Shape) -> int:
 
 def stable_shape_hash_of_encoding(encoded: bytes) -> int:
     """:func:`stable_shape_hash` given the canonical binary encoding directly
-    (what the shape arena caches per row) — one CRC, no re-encode."""
+    (what the interner builds per subtree id) — one CRC, no re-encode."""
     return zlib.crc32(encoded)
 
 

@@ -25,6 +25,7 @@ from repro.benchgen.families import (
     sat_semisoundness_family,
 )
 from repro.engine import ExplorationEngine
+from repro.engine.guards import map_subtree_keys
 from repro.fbwis.catalog import leave_application
 
 BUDGET = {"limits": ExplorationLimits(max_states=300)}
@@ -90,14 +91,15 @@ def label_key(key: tuple, root_labels: list) -> tuple:
     return (tag, label, frozenset(name for i, name in enumerate(root_labels) if mask >> i & 1))
 
 
-def key_digest(guards, form) -> str:
+def key_digest(engine, form) -> str:
     """A digest of the cached guard entries, independent of insertion order
     and of ``PYTHONHASHSEED``: the sorted canonical keys, each with its
-    value."""
+    value.  Subtree-keyed entries are digested with the nested shape of
+    their subtree id."""
     root_labels = [child.label for child in form.schema.root.children]
+    entries = map_subtree_keys(list(engine.guards._cache.items()), engine.interner.nested)
     rows = sorted(
-        f"{canonical(label_key(key, root_labels))}={value}"
-        for key, value in guards._cache.items()
+        f"{canonical(label_key(key, root_labels))}={value}" for key, value in entries
     )
     return hashlib.sha256("\n".join(rows).encode("utf-8")).hexdigest()[:16]
 
@@ -118,6 +120,6 @@ def test_guard_counters_match_golden(name):
         engine_stats["expansions_computed"],
         states,
         stats["transitions"],
-        key_digest(engine.guards, form),
+        key_digest(engine, form),
     )
     assert observed == GOLDEN[name]

@@ -34,7 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.guarded_form import Addition, Deletion
-from repro.engine.arena import ShapeArena
+from repro.engine.interning import ShapeInterner
 from repro.engine.store import SqliteStore
 from repro.engine.wire import FrameEncoder, WireFrame
 from repro.exceptions import WireFormatError
@@ -55,6 +55,13 @@ shapes = st.recursive(
     lambda children: st.tuples(labels, st.lists(children, max_size=3).map(tuple)),
     max_leaves=12,
 )
+
+
+def canonical(shape):
+    """*shape* with every child tuple sorted."""
+    label, children = shape
+    return (label, tuple(sorted(canonical(child) for child in children)))
+
 
 guard_terms = st.recursive(
     st.one_of(
@@ -111,8 +118,9 @@ class TestFrameRoundTrip:
         frame = WireFrame(data)
         assert frame.guard_entries == guards
         assert frame.state_ids() == list(states)
-        arena = ShapeArena()
-        table = [arena.cons_of(row) for row in frame.shape_rows(arena)]
+        # the interner answers with canonical (child-sorted) shapes
+        interner = ShapeInterner()
+        table = [interner.nested(sid) for sid in frame.shape_rows(interner)]
         expected_shapes = []
         for state_id, (cands, queries) in states.items():
             decoded, decoded_queries = frame.expansion(state_id)
@@ -129,13 +137,13 @@ class TestFrameRoundTrip:
                     )
                 else:
                     assert got_update.node_id == update.node_id
-                assert table[shape_index] == shape
+                assert table[shape_index] == canonical(shape)
                 assert got_is_addition is is_addition
                 assert (got_size, got_copies) == (size, copies)
                 if shape not in expected_shapes:
                     expected_shapes.append(shape)
         # per-batch dedup: each distinct shape is listed exactly once
-        assert table == expected_shapes
+        assert table == [canonical(shape) for shape in expected_shapes]
         assert frame.shape_count == len(expected_shapes)
         assert frame.total_candidates == sum(len(c) for c, _ in states.values())
 
