@@ -18,27 +18,24 @@ everything else                        :func:`completability_bounded`
                                        Theorem 4.1)
 =====================================  ======================================
 
-The exploration-based procedures run on the unified
-:class:`~repro.engine.ExplorationEngine`; callers may pass an *engine* to
-share its interned shapes and memoized guard evaluations across several
-analyses of the same form (the semi-soundness procedure and the CLI do), and
-a *frontier* strategy (``"bfs"``, ``"dfs"`` or ``"guided"``) to control the
-exploration order.  Engine counters (guard-cache hits/misses, shape-intern
-statistics, store read/write/flush counters) are surfaced under
-``AnalysisResult.stats["engine"]``.
+The dispatcher picks the procedure, builds one
+:class:`~repro.engine.ExplorationEngine` through
+:func:`~repro.engine.engine_for` (the caller's *engine*, or a fresh one on
+*store* with *workers* and *resident_budget*) and runs the procedure on it;
+saturation gets no engine.  The exploration-based procedures take that
+*engine* (a serial in-memory one when omitted); sharing it across analyses
+of the same form shares its interned shapes and memoized guard evaluations
+(the semi-soundness procedure and the CLI do).  *frontier* (``"bfs"``,
+``"dfs"`` or ``"guided"``) sets the exploration order, and engine counters
+are surfaced under ``AnalysisResult.stats["engine"]``.
 
-Bounded explorations can additionally be backed by a persistent
-:class:`~repro.engine.store.StateStore` (*store*): interned shapes,
-exploration checkpoints and, per state, either its canonical representative
-or only the origin it is re-derived from on first use are written to disk,
-and an
-interrupted exploration can be picked up with *resume* instead of restarting
-— see :mod:`repro.engine.store`.  The depth-1 search writes only checkpoints
-there, when a *step_limit* slices it.  *stop_on_complete* opts into early
-exit: the bounded and depth-1 searches return as soon as a complete state is
-discovered, which on completable forms can skip most of the work (negative
-and undecided answers are unaffected — they only arise when no early exit
-happened).
+A store-backed engine persists the bounded search's interned shapes,
+checkpoints and per-state representatives or origins
+(:mod:`repro.engine.store`), and the depth-1 search's checkpoints when a
+*step_limit* slices it; *resume* picks an interrupted exploration up.
+*stop_on_complete* opts into early exit: the bounded and depth-1 searches
+return as soon as a complete state is discovered (negative and undecided
+answers are unaffected — they only arise when no early exit happened).
 
 For positive access rules the bounded search is *complete* when the sibling
 copy bound is at least the size of the completion formula: the witness
@@ -52,6 +49,7 @@ unrestricted access rules an exhausted bounded search is reported as
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 from repro.analysis.results import AnalysisResult, ExplorationLimits
@@ -154,9 +152,6 @@ def completability_depth1(
     start: Optional[Instance] = None,
     frontier: Optional[str] = None,
     engine: Optional[ExplorationEngine] = None,
-    store: Optional[StateStore] = None,
-    workers: int = 1,
-    resident_budget: Optional[int] = None,
     *,
     resume: bool = False,
     stop_on_complete: bool = False,
@@ -178,45 +173,39 @@ def completability_depth1(
     :class:`~repro.exceptions.ExplorationInterrupted`, and an identical call
     with *resume* continues it.  The store holds nothing else of a depth-1
     run: its canonical states are masks, re-derived from the checkpoint, and
-    guard values stay in memory.  *workers* is accepted for dispatch
-    symmetry: canonical depth-1 states are far cheaper to expand than to
-    ship to a worker process, so the exploration itself stays serial on a
-    parallel engine too.
+    guard values stay in memory.  The exploration is serial on a parallel
+    *engine* too: canonical depth-1 states are far cheaper to expand than to
+    ship to a worker process.
     """
-    owns_engine = engine is None
-    engine = engine_for(guarded_form, engine, frontier, store=store, workers=workers, resident_budget=resident_budget)
-    try:
-        graph = engine.explore_depth1(
-            start=start,
-            strategy=frontier,
-            stop_on_complete=stop_on_complete,
-            resume=resume,
-            step_limit=step_limit,
-        )
-        complete_states = engine.complete_depth1_states(graph)
-        reachable = graph.reachable_from(graph.initial)
-        witnesses = sorted(reachable & complete_states, key=sorted)
-        answer = bool(witnesses)
-        witness_run = graph.run_to(witnesses[0]) if witnesses else None
-        stats = {
-            "canonical_states": len(graph.states),
-            "complete_states": len(complete_states & reachable),
-            "transitions": transition_count(graph),
-        }
-        if stop_on_complete:
-            stats["stopped_on_complete"] = graph.stopped_on_complete
-        stats["engine"] = engine.stats_snapshot()
-        return AnalysisResult(
-            problem=_PROBLEM,
-            decided=True,
-            answer=answer,
-            procedure="depth1_canonical_search",
-            witness_run=witness_run,
-            stats=stats,
-        )
-    finally:
-        if owns_engine:
-            engine.shutdown_workers()
+    engine = engine_for(guarded_form, engine, frontier)
+    graph = engine.explore_depth1(
+        start=start,
+        strategy=frontier,
+        stop_on_complete=stop_on_complete,
+        resume=resume,
+        step_limit=step_limit,
+    )
+    complete_states = engine.complete_depth1_states(graph)
+    reachable = graph.reachable_from(graph.initial)
+    witnesses = sorted(reachable & complete_states, key=sorted)
+    answer = bool(witnesses)
+    witness_run = graph.run_to(witnesses[0]) if witnesses else None
+    stats = {
+        "canonical_states": len(graph.states),
+        "complete_states": len(complete_states & reachable),
+        "transitions": transition_count(graph),
+    }
+    if stop_on_complete:
+        stats["stopped_on_complete"] = graph.stopped_on_complete
+    stats["engine"] = engine.stats_snapshot()
+    return AnalysisResult(
+        problem=_PROBLEM,
+        decided=True,
+        answer=answer,
+        procedure="depth1_canonical_search",
+        witness_run=witness_run,
+        stats=stats,
+    )
 
 
 def completability_bounded(
@@ -226,11 +215,8 @@ def completability_bounded(
     copy_bound_is_sufficient: bool = False,
     frontier: Optional[str] = None,
     engine: Optional[ExplorationEngine] = None,
-    store: Optional[StateStore] = None,
     resume: bool = False,
     stop_on_complete: bool = False,
-    workers: int = 1,
-    resident_budget: Optional[int] = None,
     step_limit: Optional[int] = None,
 ) -> AnalysisResult:
     """Bounded explicit-state completability for arbitrary guarded forms.
@@ -243,71 +229,65 @@ def completability_bounded(
     from the completion formula, per Theorem 5.2's witness argument).
     Otherwise the result is reported as undecided.
 
-    *store* persists the exploration (and *resume* continues a checkpointed
-    one); *stop_on_complete* returns the positive answer as soon as a
-    complete state is discovered instead of exhausting the budget.
-    ``workers > 1`` expands frontier waves on a
-    :class:`~repro.engine.parallel.ParallelExplorationEngine` worker pool;
-    the explored graph — and hence the verdict — is bit-identical to the
-    serial engine's.  *step_limit* bounds how many states this call may
-    expand: on a store-backed engine the exploration checkpoints and raises
-    :class:`~repro.exceptions.ExplorationInterrupted` when the budget runs
-    out, and an identical call with *resume* continues — the service's
-    slice-wise execution mode.
+    *resume* continues an exploration checkpointed in the engine's store;
+    *stop_on_complete* returns the positive answer as soon as a complete
+    state is discovered instead of exhausting the budget.  On a
+    :class:`~repro.engine.parallel.ParallelExplorationEngine` the frontier
+    waves expand on its worker pool; the explored graph — and hence the
+    verdict — is bit-identical to the serial engine's.  *step_limit* bounds
+    how many states this call may expand: the exploration then checkpoints
+    and raises :class:`~repro.exceptions.ExplorationInterrupted`, and an
+    identical call with *resume* continues — the service's slice-wise
+    execution mode.
     """
     limits = limits or ExplorationLimits()
-    owns_engine = engine is None
-    engine = engine_for(guarded_form, engine, frontier, store=store, workers=workers, resident_budget=resident_budget)
-    try:
-        graph = engine.explore(
-            start=start,
-            limits=limits,
-            strategy=frontier,
-            stop_on_complete=stop_on_complete,
-            resume=resume,
-            step_limit=step_limit,
-        )
-        complete_states = engine.complete_ids(graph)
-        stats = {
-            "states_explored": len(graph.states),
-            "transitions": transition_count(graph),
-            "truncated": graph.truncated,
-            "truncated_by_states": graph.truncated_by_states,
-            "truncated_by_size": graph.truncated_by_size,
-            "truncated_by_copies": graph.truncated_by_copies,
-            "skipped_successors": graph.skipped_successors,
-            "stopped_on_complete": graph.stopped_on_complete,
-            "resumed": graph.resumed,
-            "limits": limits,
-            "engine": engine.stats_snapshot(),
-        }
-        if complete_states:
-            key = min(complete_states)  # earliest-interned complete state
-            return AnalysisResult(
-                problem=_PROBLEM,
-                decided=True,
-                answer=True,
-                procedure="bounded_exploration",
-                witness_run=graph.run_to(key),
-                stats=stats,
-            )
-        exhaustive = not graph.truncated
-        only_copies = (
-            graph.truncated_by_copies
-            and not graph.truncated_by_states
-            and not graph.truncated_by_size
-        )
-        negative_is_decided = exhaustive or (only_copies and copy_bound_is_sufficient)
+    engine = engine_for(guarded_form, engine, frontier)
+    graph = engine.explore(
+        start=start,
+        limits=limits,
+        strategy=frontier,
+        stop_on_complete=stop_on_complete,
+        resume=resume,
+        step_limit=step_limit,
+    )
+    complete_states = engine.complete_ids(graph)
+    stats = {
+        "states_explored": len(graph.states),
+        "transitions": transition_count(graph),
+        "truncated": graph.truncated,
+        "truncated_by_states": graph.truncated_by_states,
+        "truncated_by_size": graph.truncated_by_size,
+        "truncated_by_copies": graph.truncated_by_copies,
+        "skipped_successors": graph.skipped_successors,
+        "stopped_on_complete": graph.stopped_on_complete,
+        "resumed": graph.resumed,
+        "limits": limits,
+        "engine": engine.stats_snapshot(),
+    }
+    if complete_states:
+        key = min(complete_states)  # earliest-interned complete state
         return AnalysisResult(
             problem=_PROBLEM,
-            decided=negative_is_decided,
-            answer=False if negative_is_decided else None,
+            decided=True,
+            answer=True,
             procedure="bounded_exploration",
+            witness_run=graph.run_to(key),
             stats=stats,
         )
-    finally:
-        if owns_engine:
-            engine.shutdown_workers()
+    exhaustive = not graph.truncated
+    only_copies = (
+        graph.truncated_by_copies
+        and not graph.truncated_by_states
+        and not graph.truncated_by_size
+    )
+    negative_is_decided = exhaustive or (only_copies and copy_bound_is_sufficient)
+    return AnalysisResult(
+        problem=_PROBLEM,
+        decided=negative_is_decided,
+        answer=False if negative_is_decided else None,
+        procedure="bounded_exploration",
+        stats=stats,
+    )
 
 
 def positive_rules_copy_bound(guarded_form: GuardedForm) -> int:
@@ -352,21 +332,21 @@ def decide_completability(
             interned shapes and guard evaluations with previous analyses of
             the same form.
         store: a :class:`~repro.engine.store.StateStore` backing a freshly
-            built engine (ignored when *engine* is supplied — that engine
-            keeps its own store).  The bounded procedure writes shapes,
-            representatives and checkpoints to it, the depth-1 procedure
-            only the checkpoints of sliced runs (*step_limit*), and the
-            saturation procedure nothing.
+            built engine (ignored when *engine* is supplied); saturation
+            never touches it.
         resume: continue the bounded or depth-1 exploration from the
             checkpoint an identically parameterised earlier run saved in the
             store.
         stop_on_complete: let the bounded or depth-1 exploration return as
             soon as a complete state is found (early exit; default off,
             pinned by the parity tests).
-        workers: number of frontier worker processes for the bounded
-            procedure (``1`` — the default — keeps the serial engine; the
+        workers: number of frontier worker processes of a freshly built
+            engine (``1`` — the default — keeps the serial engine; the
             parallel engine's answers are bit-identical, see
-            :mod:`repro.engine.parallel`).
+            :mod:`repro.engine.parallel`).  Only the bounded procedure
+            expands on the workers.
+        resident_budget: LRU residency cap of a freshly built, store-backed
+            engine (see :mod:`repro.engine.store`).
         step_limit: state-expansion budget per call for the bounded and
             depth-1 procedures (checkpoint + :class:`ExplorationInterrupted`
             when exhausted; resume to continue).
@@ -381,87 +361,51 @@ def decide_completability(
         )
     if guarded_form is None:
         raise RequestError("decide_completability needs a guarded form or request=")
-    if strategy == "saturation":
-        return completability_by_saturation(guarded_form, start)
-    if strategy == "depth1":
-        return completability_depth1(
-            guarded_form,
-            start,
-            frontier=frontier,
-            engine=engine,
-            store=store,
-            workers=workers,
-            resident_budget=resident_budget,
-            resume=resume,
-            stop_on_complete=stop_on_complete,
-            step_limit=step_limit,
-        )
-    if strategy == "bounded":
-        return completability_bounded(
-            guarded_form,
-            start,
-            limits,
-            frontier=frontier,
-            engine=engine,
-            store=store,
-            resume=resume,
-            stop_on_complete=stop_on_complete,
-            workers=workers,
-            resident_budget=resident_budget,
-            step_limit=step_limit,
-        )
-    if strategy != "auto":
+    if strategy not in ("auto", "saturation", "depth1", "bounded"):
         raise AnalysisError(f"unknown completability strategy {strategy!r}")
-
-    fragment = classify(guarded_form)
-    if fragment.positive_access and fragment.positive_completion:
+    procedure, copy_bound_is_sufficient = strategy, False
+    if strategy == "auto":
+        fragment = classify(guarded_form)
+        if fragment.positive_access and fragment.positive_completion:
+            procedure = "saturation"
+        elif guarded_form.schema_depth() <= 1:
+            procedure = "depth1"
+        else:
+            procedure = "bounded"
+            copy_bound_is_sufficient = fragment.positive_access
+    if copy_bound_is_sufficient:  # Theorem 5.2: the bound keeps "no" exact
+        limits = limits or ExplorationLimits()
+        if limits.max_sibling_copies is None:
+            limits = replace(
+                limits, max_sibling_copies=positive_rules_copy_bound(guarded_form)
+            )
+    if procedure == "saturation":
         return completability_by_saturation(guarded_form, start)
-    if guarded_form.schema_depth() <= 1:
-        return completability_depth1(
-            guarded_form,
-            start,
-            frontier=frontier,
-            engine=engine,
-            store=store,
-            workers=workers,
-            resident_budget=resident_budget,
-            resume=resume,
-            stop_on_complete=stop_on_complete,
-            step_limit=step_limit,
-        )
-    if fragment.positive_access:
-        copy_bound = positive_rules_copy_bound(guarded_form)
-        effective = limits or ExplorationLimits(max_sibling_copies=copy_bound)
-        if effective.max_sibling_copies is None:
-            effective = ExplorationLimits(
-                max_states=effective.max_states,
-                max_instance_nodes=effective.max_instance_nodes,
-                max_sibling_copies=copy_bound,
+    owns_engine = engine is None
+    engine = engine_for(guarded_form, engine, frontier, store=store, workers=workers, resident_budget=resident_budget)
+    try:
+        if procedure == "depth1":
+            return completability_depth1(
+                guarded_form,
+                start,
+                frontier=frontier,
+                engine=engine,
+                resume=resume,
+                stop_on_complete=stop_on_complete,
+                step_limit=step_limit,
             )
         return completability_bounded(
             guarded_form,
             start,
-            effective,
-            copy_bound_is_sufficient=True,
+            limits,
+            copy_bound_is_sufficient,
             frontier=frontier,
             engine=engine,
-            store=store,
             resume=resume,
             stop_on_complete=stop_on_complete,
-            workers=workers,
-            resident_budget=resident_budget,
             step_limit=step_limit,
         )
-    return completability_bounded(
-        guarded_form,
-        start,
-        limits,
-        frontier=frontier,
-        engine=engine,
-        store=store,
-        resume=resume,
-        stop_on_complete=stop_on_complete,
-        workers=workers,
-        resident_budget=resident_budget,
-        step_limit=step_limit,
-    )
+    finally:
+        if owns_engine:
+            engine.shutdown_workers()
+

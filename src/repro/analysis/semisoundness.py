@@ -18,10 +18,12 @@ completable.  ``decide_semisoundness`` dispatches on the fragment:
   problem is Π₂ᵏ-hard for positive rules (Theorem 5.3) and undecidable in
   general (Theorem 4.1).
 
-Semi-soundness is where the shared :class:`~repro.engine.ExplorationEngine`
-pays off most: the per-suspicious-state completability checks re-explore
-regions the reachability sweep already visited, and the engine serves those
-states' memoized expansions and guard evaluations from cache instead of
+As in :mod:`repro.analysis.completability`, the dispatcher picks the
+procedure, builds one :class:`~repro.engine.ExplorationEngine` and runs the
+procedure on it.  Semi-soundness is where that shared engine pays off most:
+the per-suspicious-state completability checks re-explore regions the
+reachability sweep already visited, and the engine serves those states'
+memoized expansions and guard evaluations from cache instead of
 re-evaluating every access-rule formula.
 """
 
@@ -51,9 +53,6 @@ def semisoundness_depth1(
     start: Optional[Instance] = None,
     frontier: Optional[str] = None,
     engine: Optional[ExplorationEngine] = None,
-    store: Optional[StateStore] = None,
-    workers: int = 1,
-    resident_budget: Optional[int] = None,
     *,
     resume: bool = False,
     step_limit: Optional[int] = None,
@@ -63,57 +62,48 @@ def semisoundness_depth1(
     The reachable canonical states are enumerated once; the form is semi-sound
     iff every reachable state can reach a state satisfying the completion
     formula (a backward-closure computation on the same graph).  *step_limit*
-    and *resume* slice the enumeration through the engine's store, and
-    *workers* is accepted for dispatch symmetry; the enumeration stays
-    serial (see :func:`~repro.analysis.completability.completability_depth1`).
+    and *resume* slice the enumeration through the engine's store; the
+    enumeration is serial on a parallel *engine* too (see
+    :func:`~repro.analysis.completability.completability_depth1`).
     """
-    owns_engine = engine is None
-    engine = engine_for(guarded_form, engine, frontier, store=store, workers=workers, resident_budget=resident_budget)
-    try:
-        graph = engine.explore_depth1(
-            start=start, strategy=frontier, resume=resume, step_limit=step_limit
-        )
-        reachable = graph.reachable_from(graph.initial)
-        complete_states = engine.complete_depth1_states(graph)
-        can_complete = graph.backward_closure(complete_states & graph.states)
-        stuck = sorted(reachable - can_complete, key=sorted)
-        answer = not stuck
-        counterexample = None
-        witness_run = None
-        if stuck:
-            counterexample = depth1_state_to_instance(guarded_form.schema, stuck[0])
-            witness_run = graph.run_to(stuck[0])
-        return AnalysisResult(
-            problem=_PROBLEM,
-            decided=True,
-            answer=answer,
-            procedure="depth1_canonical_graph",
-            witness_run=witness_run,
-            counterexample=counterexample,
-            stats={
-                "canonical_states": len(graph.states),
-                "transitions": transition_count(graph),
-                "reachable_states": len(reachable),
-                "incompletable_reachable_states": len(stuck),
-                "engine": engine.stats_snapshot(),
-            },
-        )
-    finally:
-        if owns_engine:
-            engine.shutdown_workers()
+    engine = engine_for(guarded_form, engine, frontier)
+    graph = engine.explore_depth1(
+        start=start, strategy=frontier, resume=resume, step_limit=step_limit
+    )
+    reachable = graph.reachable_from(graph.initial)
+    complete_states = engine.complete_depth1_states(graph)
+    can_complete = graph.backward_closure(complete_states & graph.states)
+    stuck = sorted(reachable - can_complete, key=sorted)
+    answer = not stuck
+    counterexample = None
+    witness_run = None
+    if stuck:
+        counterexample = depth1_state_to_instance(guarded_form.schema, stuck[0])
+        witness_run = graph.run_to(stuck[0])
+    return AnalysisResult(
+        problem=_PROBLEM,
+        decided=True,
+        answer=answer,
+        procedure="depth1_canonical_graph",
+        witness_run=witness_run,
+        counterexample=counterexample,
+        stats={
+            "canonical_states": len(graph.states),
+            "transitions": transition_count(graph),
+            "reachable_states": len(reachable),
+            "incompletable_reachable_states": len(stuck),
+            "engine": engine.stats_snapshot(),
+        },
+    )
 
 
 def semisoundness_bounded(
     guarded_form: GuardedForm,
     start: Optional[Instance] = None,
     limits: Optional[ExplorationLimits] = None,
-    completability_limits: Optional[ExplorationLimits] = None,
     frontier: Optional[str] = None,
     engine: Optional[ExplorationEngine] = None,
-    store: Optional[StateStore] = None,
     resume: bool = False,
-    workers: int = 1,
-    resident_budget: Optional[int] = None,
     step_limit: Optional[int] = None,
 ) -> AnalysisResult:
     """Bounded semi-soundness for guarded forms of arbitrary depth.
@@ -122,96 +112,82 @@ def semisoundness_bounded(
     the graph itself answers "can this state reach a complete state?", and
     states that cannot within the explored graph are re-checked with a
     dedicated completability analysis (so a negative verdict is based on an
-    exact incompletability proof for the counterexample state).  Unless
-    overridden, those per-state checks reuse the same *limits* so the total
-    work stays proportional to the configured exploration budget — and they
-    reuse the same engine, so they mostly replay memoized expansions.
+    exact incompletability proof for the counterexample state).  Those
+    per-state checks reuse the same *limits*, so the total work stays
+    proportional to the configured exploration budget, and the same engine,
+    so they mostly replay memoized expansions.
 
     On a store-backed engine each exploration (the reachability sweep and
     every per-suspicious-state completability check) keeps its own
     checkpoint, keyed by its start shape; *resume* picks up whichever of
     them was interrupted.
 
-    ``workers > 1`` runs every exploration — the reachability sweep *and*
-    the per-suspicious-state completability checks, which share the one
-    parallel engine and hence its staged worker results — on a frontier
-    worker pool; verdicts and witnesses are bit-identical to serial runs.
+    On a :class:`~repro.engine.parallel.ParallelExplorationEngine` every
+    exploration — the reachability sweep *and* the per-suspicious-state
+    completability checks, which share the one engine and hence its staged
+    worker results — runs on its frontier worker pool; verdicts and
+    witnesses are bit-identical to serial runs.
     """
     limits = limits or ExplorationLimits()
-    completability_limits = completability_limits or limits
-    owns_engine = engine is None
-    engine = engine_for(guarded_form, engine, frontier, store=store, workers=workers, resident_budget=resident_budget)
-    try:
-        graph = engine.explore(
-            start=start,
+    engine = engine_for(guarded_form, engine, frontier)
+    graph = engine.explore(
+        start=start,
+        limits=limits,
+        strategy=frontier,
+        resume=resume,
+        step_limit=step_limit,
+    )
+    complete_states = engine.complete_ids(graph)
+    can_complete = graph.backward_closure(complete_states)
+    suspicious = [state_id for state_id in graph.states if state_id not in can_complete]
+    stats = {
+        "states_explored": len(graph.states),
+        "transitions": transition_count(graph),
+        "truncated": graph.truncated,
+        "suspicious_states": len(suspicious),
+        "limits": limits,
+    }
+
+    for state_id in suspicious:
+        instance = graph.instance_of(state_id)
+        check = decide_completability(
+            guarded_form,
+            start=instance,
             limits=limits,
-            strategy=frontier,
+            frontier=frontier,
+            engine=engine,
             resume=resume,
-            step_limit=step_limit,
         )
-        complete_states = engine.complete_ids(graph)
-        can_complete = graph.backward_closure(complete_states)
-        suspicious = [state_id for state_id in graph.states if state_id not in can_complete]
-        stats = {
-            "states_explored": len(graph.states),
-            "transitions": transition_count(graph),
-            "truncated": graph.truncated,
-            "suspicious_states": len(suspicious),
-            "limits": limits,
-        }
-
-        for state_id in suspicious:
-            instance = graph.instance_of(state_id)
-            check = decide_completability(
-                guarded_form,
-                start=instance,
-                limits=completability_limits,
-                frontier=frontier,
-                engine=engine,
-                resume=resume,
-            )
-            if check.decided and check.answer is False:
-                return AnalysisResult(
-                    problem=_PROBLEM,
-                    decided=True,
-                    answer=False,
-                    procedure="bounded_exploration",
-                    witness_run=graph.run_to(state_id),
-                    counterexample=instance,
-                    stats={**stats, "engine": engine.stats_snapshot()},
-                )
-
-        stats["engine"] = engine.stats_snapshot()
-        if not graph.truncated and not suspicious:
+        if check.decided and check.answer is False:
             return AnalysisResult(
                 problem=_PROBLEM,
                 decided=True,
-                answer=True,
+                answer=False,
                 procedure="bounded_exploration",
-                stats=stats,
+                witness_run=graph.run_to(state_id),
+                counterexample=instance,
+                stats={**stats, "engine": engine.stats_snapshot()},
             )
-        if not graph.truncated and suspicious:
-            # every suspicious state turned out to be completable through states
-            # outside the explored graph?  impossible when the graph is exhaustive
-            # — the backward closure is exact — so being here means the per-state
-            # completability checks were undecided.
-            return AnalysisResult(
-                problem=_PROBLEM,
-                decided=False,
-                answer=None,
-                procedure="bounded_exploration",
-                stats=stats,
-            )
+
+    stats["engine"] = engine.stats_snapshot()
+    if not graph.truncated and not suspicious:
         return AnalysisResult(
             problem=_PROBLEM,
-            decided=False,
-            answer=None,
+            decided=True,
+            answer=True,
             procedure="bounded_exploration",
             stats=stats,
         )
-    finally:
-        if owns_engine:
-            engine.shutdown_workers()
+    # undecided: either the sweep was truncated, so unexplored states may be
+    # incompletable, or it was exhaustive (its backward closure is exact) and
+    # the suspicious states' own completability checks were all undecided
+    return AnalysisResult(
+        problem=_PROBLEM,
+        decided=False,
+        answer=None,
+        procedure="bounded_exploration",
+        stats=stats,
+    )
 
 
 def decide_semisoundness(
@@ -244,9 +220,8 @@ def decide_semisoundness(
             built engine (ignored when *engine* is supplied).
         resume: continue the explorations from checkpoints earlier
             identically parameterised runs saved in the store.
-        workers: number of frontier worker processes for the bounded
-            procedure (``1`` keeps the serial engine; parallel verdicts are
-            bit-identical — see :mod:`repro.engine.parallel`).
+        workers / resident_budget: as for
+            :func:`~repro.analysis.completability.decide_completability`.
         step_limit: checkpoint and raise
             :class:`~repro.exceptions.ExplorationInterrupted` after this many
             state expansions of the reachability sweep (of the bounded
@@ -263,61 +238,34 @@ def decide_semisoundness(
         raise RequestError(
             "decide_semisoundness needs a guarded form or request="
         )
-    if strategy == "depth1":
-        return semisoundness_depth1(
-            guarded_form,
-            start,
-            frontier=frontier,
-            engine=engine,
-            store=store,
-            workers=workers,
-            resident_budget=resident_budget,
-            resume=resume,
-            step_limit=step_limit,
-        )
-    if strategy == "bounded":
+    if strategy not in ("auto", "depth1", "bounded"):
+        raise AnalysisError(f"unknown semi-soundness strategy {strategy!r}")
+    procedure = strategy
+    if strategy == "auto":
+        procedure = "depth1" if guarded_form.schema_depth() <= 1 else "bounded"
+        if procedure == "bounded" and limits is None and classify(guarded_form).positive_access:
+            limits = ExplorationLimits(max_sibling_copies=positive_rules_copy_bound(guarded_form))
+    owns_engine = engine is None
+    engine = engine_for(guarded_form, engine, frontier, store=store, workers=workers, resident_budget=resident_budget)
+    try:
+        if procedure == "depth1":
+            return semisoundness_depth1(
+                guarded_form,
+                start,
+                frontier=frontier,
+                engine=engine,
+                resume=resume,
+                step_limit=step_limit,
+            )
         return semisoundness_bounded(
             guarded_form,
             start,
             limits,
             frontier=frontier,
             engine=engine,
-            store=store,
-            resume=resume,
-            workers=workers,
-            resident_budget=resident_budget,
-            step_limit=step_limit,
-        )
-    if strategy != "auto":
-        raise AnalysisError(f"unknown semi-soundness strategy {strategy!r}")
-
-    if guarded_form.schema_depth() <= 1:
-        return semisoundness_depth1(
-            guarded_form,
-            start,
-            frontier=frontier,
-            engine=engine,
-            store=store,
-            workers=workers,
-            resident_budget=resident_budget,
             resume=resume,
             step_limit=step_limit,
         )
-
-    fragment = classify(guarded_form)
-    if fragment.positive_access and limits is None:
-        limits = ExplorationLimits(
-            max_sibling_copies=positive_rules_copy_bound(guarded_form)
-        )
-    return semisoundness_bounded(
-        guarded_form,
-        start,
-        limits,
-        frontier=frontier,
-        engine=engine,
-        store=store,
-        resume=resume,
-        workers=workers,
-        resident_budget=resident_budget,
-        step_limit=step_limit,
-    )
+    finally:
+        if owns_engine:
+            engine.shutdown_workers()

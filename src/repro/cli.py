@@ -77,18 +77,16 @@ from repro.analysis.results import AnalysisResult, ExplorationLimits
 from repro.analysis.semisoundness import decide_semisoundness
 from repro.catalog import CATALOG, resolve_form
 from repro.core.fragments import classify
-from repro.core.guarded_form import GuardedForm
 from repro.engine import (
     STRATEGIES,
-    ExplorationEngine,
-    ParallelExplorationEngine,
     SqliteStore,
+    engine_for,
     open_store,
 )
 from repro.exceptions import CampaignError, ReproError, StoreError
 from repro.io.dot import lts_to_dot
 from repro.io.render import render_rule_table, render_schema, render_table1
-from repro.io.serialization import guarded_form_to_dict, load_guarded_form, save_guarded_form
+from repro.io.serialization import guarded_form_to_dict, save_guarded_form
 from repro.obs import (
     Telemetry,
     load_trace_events,
@@ -261,27 +259,6 @@ def _check_workers(args: argparse.Namespace) -> None:
             )
 
 
-def _build_engine(form: GuardedForm, args: argparse.Namespace, store) -> ExplorationEngine:
-    """The exploration engine an ``analyze`` run shares across its analyses:
-    serial by default, a worker-pool-backed parallel engine for ``--workers
-    N`` with N >= 2."""
-    _check_workers(args)
-    if args.workers > 1:
-        return ParallelExplorationEngine(
-            form,
-            strategy=args.frontier,
-            store=store,
-            workers=args.workers,
-            resident_budget=args.resident_budget,
-        )
-    return ExplorationEngine(
-        form,
-        strategy=args.frontier,
-        store=store,
-        resident_budget=args.resident_budget,
-    )
-
-
 def _describe(result: AnalysisResult, out) -> None:
     print(f"  {result.describe()}", file=out)
     if result.witness_run is not None and result.answer:
@@ -356,13 +333,16 @@ def _run_analyze(args: argparse.Namespace, out) -> int:
     form = _load_form(args.form)
     limits = _limits_from_args(args)
     print(f"analysing {form.name!r} (fragment {classify(form).name})", file=out)
+    _check_workers(args)
 
     # one engine for both analyses: the semi-soundness pass re-explores the
     # states the completability pass interned, so its guard evaluations are
     # mostly served from the shared cache (and, with --workers, the shared
     # staged worker results)
     store = open_store(args.store, checkpoint_every=args.checkpoint_every)
-    engine = _build_engine(form, args, store)
+    engine = engine_for(
+        form, None, args.frontier, store=store, workers=args.workers, resident_budget=args.resident_budget
+    )
     try:
         completability = decide_completability(
             form,

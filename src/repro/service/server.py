@@ -18,6 +18,9 @@ the CLI uses, which earlier PRs pinned bit-identical to uninterrupted runs.
 That one mechanism therefore gives cooperative cancellation, eviction,
 graceful shutdown *and* crash recovery (``JobStore.recover`` re-queues jobs
 a killed server left running; their next slice resumes the checkpoint).
+A store the pod named itself (``<job_id>.store.sqlite``) is deleted once its
+job is done, failed or cancelled, and at startup for terminal jobs a killed
+server left it behind for; stores a request names are the caller's to keep.
 
 Telemetry: the server owns a :class:`~repro.obs.tracing.Telemetry` recorder;
 HTTP requests record spans, and each job slice runs under its own recorder
@@ -33,6 +36,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from contextlib import suppress
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -46,6 +50,7 @@ from repro.exceptions import (
     ExplorationInterrupted,
     JobNotReadyError,
     RequestError,
+    UnknownJobError,
 )
 from repro.obs import publish_cache_stats
 from repro.obs.tracing import Telemetry, use_telemetry
@@ -124,6 +129,11 @@ class PodServer:
         if recovered:
             self.telemetry.instant("server.recovered_jobs", count=recovered)
             self.telemetry.metrics.counter("service.jobs.recovered").inc(recovered)
+        # a server killed between a job's end and its store's removal
+        # leaves the store behind; names of no job are caller-named stores
+        for path in self.store_dir.glob("*.store.sqlite"):
+            with suppress(UnknownJobError):
+                self._remove_job_store(self.jobs.get(path.name.removesuffix(".store.sqlite")))
         self._admit_lock = threading.Lock()
         self._telemetry_lock = threading.Lock()
         self._running_lock = threading.Lock()
@@ -281,6 +291,7 @@ class PodServer:
 
     def _cancel(self, job_id: str) -> "tuple[int, dict]":
         record = self.jobs.cancel(job_id)
+        self._remove_job_store(record)  # a queued job may hold an evicted run's store
         self.telemetry.instant("job.cancel_requested", job=job_id)
         self._wake.set()
         return 200, {"job": record.to_wire()}
@@ -428,6 +439,7 @@ class PodServer:
         finally:
             self._forget_running(job.job_id)
             self._absorb(recorder)
+            self._remove_job_store(self.jobs.get(job.job_id))
             self._wake.set()
 
     def _evict(self, job_id: str, family: str) -> None:
@@ -443,6 +455,14 @@ class PodServer:
             self.jobs.requeue(job_id, evicted=True)
         self.telemetry.metrics.counter("service.jobs.evicted").inc()
         self.telemetry.instant("job.evicted", job=job_id, family=family)
+
+    def _remove_job_store(self, record) -> None:
+        """Delete a terminal job's pod-named store with its WAL side files.
+        A requeued job keeps its store to resume from; a store the request
+        named is the caller's."""
+        if record.terminal and record.request.get("store") is None:
+            for suffix in ("", "-wal", "-shm"):
+                (self.store_dir / f"{record.job_id}.store.sqlite{suffix}").unlink(missing_ok=True)
 
     # ------------------------------------------------------------------ #
     # stall watchdog

@@ -55,8 +55,10 @@ def extract_workflow(
     ``state_annotations["__meta__"]`` records whether that happened.
 
     A persistent *store* backs the exploration (interned shapes,
-    representatives, checkpoints); *resume* continues an interrupted bounded
-    extraction from its checkpoint.  ``workers > 1`` runs the bounded
+    representatives, checkpoints); *step_limit* slices the exploration
+    (checkpoint, then :class:`~repro.exceptions.ExplorationInterrupted`) and
+    *resume* continues an interrupted extraction from its checkpoint, on
+    depth-1 and deeper forms alike.  ``workers > 1`` runs the bounded
     exploration on a frontier worker pool
     (:mod:`repro.engine.parallel`); the extracted system is identical.
 
@@ -76,10 +78,8 @@ def extract_workflow(
     )
     try:
         if guarded_form.schema_depth() <= 1:
-            return _extract_depth1(engine, guarded_form, start, frontier)
-        return _extract_bounded(
-            engine, guarded_form, start, limits, frontier, resume, step_limit
-        )
+            return _extract_depth1(engine, start, frontier, resume, step_limit)
+        return _extract_bounded(engine, start, limits, frontier, resume, step_limit)
     finally:
         if owns_engine:
             engine.shutdown_workers()
@@ -91,11 +91,14 @@ def _depth1_state_name(state: frozenset) -> str:
 
 def _extract_depth1(
     engine: ExplorationEngine,
-    guarded_form: GuardedForm,
     start: Optional[Instance],
     frontier: Optional[str],
+    resume: bool,
+    step_limit: Optional[int],
 ) -> LabelledTransitionSystem:
-    graph = engine.explore_depth1(start=start, strategy=frontier)
+    graph = engine.explore_depth1(
+        start=start, strategy=frontier, resume=resume, step_limit=step_limit
+    )
     lts = LabelledTransitionSystem(initial=_depth1_state_name(graph.initial))
     complete = engine.complete_depth1_states(graph)
     for state in graph.states:
@@ -116,12 +119,11 @@ def _extract_depth1(
 
 def _extract_bounded(
     engine: ExplorationEngine,
-    guarded_form: GuardedForm,
     start: Optional[Instance],
     limits: Optional[ExplorationLimits],
     frontier: Optional[str],
-    resume: bool = False,
-    step_limit: Optional[int] = None,
+    resume: bool,
+    step_limit: Optional[int],
 ) -> LabelledTransitionSystem:
     graph = engine.explore(
         start=start, limits=limits, strategy=frontier, resume=resume,

@@ -88,15 +88,15 @@ class LabelledTransitionSystem:
     def reachable(self, start: Optional[StateId] = None) -> set:
         """States reachable from *start* (default: the initial state)."""
         origin = self.initial if start is None else start
-        adjacency = self._adjacency()
+        outgoing = self._outgoing()
         seen = {origin}
         frontier = deque([origin])
         while frontier:
             state = frontier.popleft()
-            for target in adjacency.get(state, ()):
-                if target not in seen:
-                    seen.add(target)
-                    frontier.append(target)
+            for transition in outgoing.get(state, ()):
+                if transition.target not in seen:
+                    seen.add(transition.target)
+                    frontier.append(transition.target)
         return seen
 
     def backward_reachable(self, targets: Iterable[StateId]) -> set:
@@ -127,12 +127,13 @@ class LabelledTransitionSystem:
         """A shortest path (as transitions) from the initial state to *target*."""
         if target == self.initial:
             return []
+        outgoing = self._outgoing()
         parents: dict[StateId, Transition] = {}
         seen = {self.initial}
         frontier = deque([self.initial])
         while frontier:
             state = frontier.popleft()
-            for transition in self.successors(state):
+            for transition in outgoing.get(state, ()):
                 if transition.target in seen:
                     continue
                 seen.add(transition.target)
@@ -159,23 +160,26 @@ class LabelledTransitionSystem:
     def iter_traces(self, max_length: int) -> Iterator[list[str]]:
         """Enumerate action traces from the initial state up to *max_length*
         transitions (may repeat states; intended for small systems/tests)."""
+        outgoing = self._outgoing()
         frontier: deque[tuple[StateId, list[str]]] = deque([(self.initial, [])])
         while frontier:
             state, trace = frontier.popleft()
             yield trace
             if len(trace) >= max_length:
                 continue
-            for transition in self.successors(state):
+            for transition in outgoing.get(state, ()):
                 frontier.append((transition.target, trace + [transition.action]))
 
     def __len__(self) -> int:
         return len(self.states)
 
-    def _adjacency(self) -> dict:
-        adjacency: dict[StateId, set] = {}
+    def _outgoing(self) -> dict:
+        """``source -> [transition, ...]`` in insertion order: the index the
+        searches build once per query instead of rescanning per state."""
+        outgoing: dict[StateId, list[Transition]] = {}
         for transition in self.transitions:
-            adjacency.setdefault(transition.source, set()).add(transition.target)
-        return adjacency
+            outgoing.setdefault(transition.source, []).append(transition)
+        return outgoing
 
     def validate(self) -> None:
         """Check internal consistency (accepting ⊆ states, transitions between

@@ -438,3 +438,122 @@ class TestCrashRecovery:
             assert recovered["stats"]["states_explored"] == 600
         finally:
             server.shutdown()
+
+
+def job_store_files(store_dir) -> "list[str]":
+    return sorted(path.name for path in Path(store_dir).glob("*.store.sqlite*"))
+
+
+class TestJobStoreLifecycle:
+    """The pod deletes the engine stores it named once their jobs end; it
+    keeps caller-named stores and the stores of requeued jobs."""
+
+    def test_finished_jobs_leave_no_job_stores(self, tmp_path):
+        server, client = live_pod(tmp_path, workers=2, slice_steps=10)
+        try:
+            # distinct requests, so none is answered from the result cache
+            # without running (and opening its store)
+            jobs = [
+                client.submit(
+                    AnalysisRequest(
+                        form="leave-application-finite",
+                        kind="completability",
+                        max_states=100 + index,
+                    )
+                )
+                for index in range(20)
+            ]
+            for job in jobs:
+                assert client.wait(job["job_id"])["state"] == "done"
+        finally:
+            server.shutdown()
+        assert job_store_files(tmp_path / "pod") == []
+
+    def test_caller_named_store_survives_and_resumes(self, tmp_path):
+        request = AnalysisRequest(
+            form="leave-application",
+            kind="completability",
+            max_states=400,
+            store="kept",
+        )
+        server, client = live_pod(tmp_path, workers=1, slice_steps=50)
+        try:
+            first = client.submit(request)
+            assert client.wait(first["job_id"])["state"] == "done"
+            assert "kept.store.sqlite" in job_store_files(tmp_path / "pod")
+            again = client.submit(request.replace(resume=True))
+            assert client.wait(again["job_id"])["state"] == "done"
+            resumed = client.result(again["job_id"])
+        finally:
+            server.shutdown()
+        fresh = result_to_wire(run_analysis(request.replace(store=None)))
+        assert parity_view(resumed) == parity_view(fresh)
+        assert resumed["stats"]["resumed"] is True
+        assert resumed["stats"]["engine"]["store_rows_read"] > 0
+        assert "kept.store.sqlite" in job_store_files(tmp_path / "pod")
+
+    def test_evicted_job_keeps_its_store_and_converges(self, tmp_path):
+        request = AnalysisRequest(
+            form="leave-application", kind="completability", max_states=400
+        )
+        server = PodServer(
+            ServerConfig(
+                store_dir=str(tmp_path / "pod"),
+                slice_steps=50,
+                cache=str(tmp_path / "kv"),
+            )
+        )
+        evicted = []
+        touch = server._touch_progress
+
+        def touch_then_evict(job_id):
+            # stall-evict the job after its first slice, as the watchdog would
+            touch(job_id)
+            if not evicted:
+                evicted.append(job_id)
+                server._evict_requested.add(job_id)
+
+        server._touch_progress = touch_then_evict
+        try:
+            job_id = server.handle("POST", "/v1/jobs", request_to_wire(request))[1][
+                "job"
+            ]["job_id"]
+            server._run_job(server.jobs.claim_next(), "test")
+            record = server.jobs.get(job_id)
+            assert (record.state, record.evictions) == ("queued", 1)
+            assert 0 < record.states_explored < 400
+            assert job_store_files(tmp_path / "pod") != []
+            server._run_job(server.jobs.claim_next(), "test")
+            record = server.jobs.get(job_id)
+            assert record.state == "done"
+        finally:
+            server.jobs.close()
+        fresh = result_to_wire(run_analysis(request))
+        assert parity_view(record.result) == parity_view(fresh)
+        assert record.result["stats"]["states_explored"] == 400
+        assert job_store_files(tmp_path / "pod") == []
+
+    def test_startup_removes_orphaned_stores_of_terminal_jobs(self, tmp_path):
+        store_dir = tmp_path / "pod"
+        store_dir.mkdir()
+        jobs = JobStore(store_dir / "jobs.sqlite")
+        try:
+            done = jobs.submit(submit_payload(), 100).job_id
+            jobs.claim_next()
+            jobs.finish(done, {"answer": True})
+            named = jobs.submit(submit_payload(store="mine"), 100).job_id
+            jobs.claim_next()
+            jobs.finish(named, {"answer": True})
+            queued = jobs.submit(submit_payload(), 100).job_id
+        finally:
+            jobs.close()
+        for name in (done, queued, "mine"):
+            for suffix in ("", "-wal", "-shm"):
+                (store_dir / f"{name}.store.sqlite{suffix}").write_bytes(b"")
+        server = PodServer(ServerConfig(store_dir=str(store_dir)))
+        server.jobs.close()
+        assert job_store_files(store_dir) == sorted(
+            f"{name}.store.sqlite{suffix}"
+            for name in (queued, "mine")
+            for suffix in ("", "-wal", "-shm")
+        )

@@ -1,5 +1,8 @@
 """Unit tests for labelled transition systems."""
 
+import random
+from collections import deque
+
 import pytest
 
 from repro.exceptions import AnalysisError
@@ -98,3 +101,80 @@ class TestPaths:
     def test_transition_is_value_object(self):
         assert Transition("a", "x", "b") == Transition("a", "x", "b")
         assert Transition("a", "x", "b") != Transition("a", "y", "b")
+
+
+def scan_path_to(lts: LabelledTransitionSystem, target):
+    """Reference: the breadth-first search that rescans every transition for
+    each visited state (``successors``), which :meth:`path_to` must match."""
+    if target == lts.initial:
+        return []
+    parents = {}
+    seen = {lts.initial}
+    frontier = deque([lts.initial])
+    while frontier:
+        state = frontier.popleft()
+        for transition in lts.successors(state):
+            if transition.target in seen:
+                continue
+            seen.add(transition.target)
+            parents[transition.target] = transition
+            if transition.target == target:
+                path = []
+                while target != lts.initial:
+                    path.append(parents[target])
+                    target = parents[target].source
+                return path[::-1]
+            frontier.append(transition.target)
+    return None
+
+
+def random_lts(seed: int) -> LabelledTransitionSystem:
+    rng = random.Random(seed)
+    states = rng.randint(1, 30)
+    lts = LabelledTransitionSystem(initial=0)
+    for state in range(states):
+        lts.add_state(state)
+    for _ in range(rng.randint(0, 3 * states)):
+        lts.add_transition(
+            rng.randrange(states), rng.choice("abc"), rng.randrange(states)
+        )
+    return lts
+
+
+class CountingList(list):
+    """A transition list that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+class TestPathIndex:
+    def test_paths_match_the_per_state_scan_on_the_diamond(self):
+        lts = diamond_lts()
+        lts.add_state("island")
+        for state in lts.states:
+            assert lts.path_to(state) == scan_path_to(lts, state)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_paths_match_the_per_state_scan_on_random_systems(self, seed):
+        lts = random_lts(seed)
+        for state in lts.states:
+            expected = scan_path_to(lts, state)
+            assert lts.path_to(state) == expected
+            assert lts.trace_to(state) == (
+                None if expected is None else [t.action for t in expected]
+            )
+
+    def test_path_to_reads_the_transitions_once(self):
+        lts = LabelledTransitionSystem(initial=0)
+        for state in range(200):
+            lts.add_transition(state, "next", state + 1)
+        lts.transitions = CountingList(lts.transitions)
+        assert len(lts.path_to(200)) == 200
+        assert lts.transitions.iterations == 1
+        lts.transitions.iterations = 0
+        assert lts.trace_to(200) == ["next"] * 200
+        assert lts.transitions.iterations == 1
