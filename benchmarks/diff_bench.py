@@ -1,13 +1,12 @@
 """Render a human-readable diff of two ``BENCH_engine.json`` reports.
 
 CI runs this after the benchmark smoke to publish, next to the raw report, a
-markdown artifact showing how every workload moved against the committed
-baseline — states/sec, formula evaluations, the worker-answer volume
-fields added in PR 4 (wire bytes per candidate, shape-dedup hit rate, the
-reduction vs the PR 3 encoding), and the sizes of the campaign-mined corpus
-workloads.  Fields missing from either side (e.g. the
-``wire_*`` fields in a pre-PR-4 baseline) render as ``—`` instead of
-failing, mirroring ``run_all.py --check``'s tolerance for old baselines.
+markdown artifact showing how every row moved against the committed
+baseline: states/sec, formula evaluations, the bounded-attach residency
+fields, the telemetry overhead, the store-vs-memory and warm-cache ratios,
+and the sizes of the campaign-mined corpus rows.  Both reports' ``host``
+blocks head the diff, since throughput compares only between equal hosts.
+Fields missing from either side render as ``—`` instead of failing.
 
 Usage::
 
@@ -25,31 +24,19 @@ from pathlib import Path
 _COLUMNS = (
     ("states_per_second", "states/s", False),
     ("formula_evaluations", "formula evals", False),
-    ("wire_bytes_per_candidate", "wire B/cand", False),
-    ("legacy_wire_bytes_per_candidate", "PR3 B/cand", False),
-    ("wire_dedup_hit_rate", "dedup", True),
-    ("wire_reduction_vs_legacy", "reduction", True),
-    # bounded-residency fields (PR 5); pre-PR-5 reports render them as —
     ("hydration_fraction_restored", "hydrated", True),
     ("states_resident", "resident shapes", False),
     ("reps_resident", "resident reps", False),
-    # hot-path fields (PR 6): wire decode wall time and warm-attach guard
-    # cache; older reports render them as —
-    ("wire_decode_seconds", "wire decode s", False),
+    ("eviction_sweeps", "eviction sweeps", False),
     ("guard_cache_hit_rate", "guard hits", True),
-    ("cold_states_per_second", "cold states/s", False),
     ("peak_rss_kb", "peak RSS KB", False),
-    # campaign-corpus fields (PR 7): sizes of the campaign-mined workloads;
-    # also populated for the classic engine workloads where recorded
     ("states", "states", False),
     ("transitions", "transitions", False),
-    # telemetry fields (PR 8): enabled-vs-disabled overhead and the merged
-    # trace's shape; pre-PR-8 reports render them as —
     ("telemetry_overhead_fraction", "telemetry overhead", True),
-    ("disabled_states_per_second", "untraced states/s", False),
+    ("telemetry_overhead_q1", "telemetry overhead q1", True),
     ("trace_events", "trace events", False),
-    ("worker_snapshots_merged", "worker snapshots", False),
-    ("eviction_sweeps", "eviction sweeps", False),
+    ("store_vs_memory", "store/memory time", False),
+    ("cache_warm_speedup", "warm-hit speedup", False),
 )
 
 
@@ -80,9 +67,11 @@ def diff_reports(baseline: dict, fresh: dict) -> str:
     lines = [
         "# Engine benchmark diff",
         "",
-        f"Baseline schema: `{baseline.get('schema', '?')}` — "
-        f"fresh schema: `{fresh.get('schema', '?')}` "
-        f"(host: {fresh.get('engine', {}).get('cpu_count', '?')} CPUs)",
+        f"Baseline schema: `{baseline.get('schema', '?')}`, host "
+        f"`{json.dumps(baseline.get('host'), sort_keys=True)}`",
+        "",
+        f"Fresh schema: `{fresh.get('schema', '?')}`, host "
+        f"`{json.dumps(fresh.get('host'), sort_keys=True)}`",
         "",
     ]
     for name in sorted(set(old_workloads) | set(new_workloads)):
@@ -93,17 +82,9 @@ def diff_reports(baseline: dict, fresh: dict) -> str:
             status.append("**new workload**")
         if not new:
             status.append("**not measured in this run**")
-        for flag in (
-            "state_set_parity_with_legacy",
-            "serial_parallel_parity",
-            "attach_budget_parity",
-            "attach_parallel_parity",
-            "telemetry_parity",
-            "traced_parallel_parity",
-            "trace_has_worker_spans",
-        ):
-            if new.get(flag) is False:
-                status.append(f"**{flag} BROKEN**")
+        for check, passed in new.get("checks", {}).items():
+            if not passed:
+                status.append(f"**{check} BROKEN**")
         lines.append(f"## {name}" + (" — " + ", ".join(status) if status else ""))
         lines.append("")
         lines.append("| metric | baseline | this run | delta |")

@@ -1,74 +1,56 @@
-"""Consolidated benchmark harness: run every ``bench_*.py``, write
-``BENCH_engine.json`` and (with ``--check``) gate on regressions.
+"""Engine benchmark harness: measure the rows no other benchmark covers,
+write ``BENCH_engine.json`` and (with ``--check``) gate on regressions.
 
-Two sections are produced:
+``perfbench/`` times every analysis from request to verdict, and the tier-1
+suite pins the engine's parity contracts (engine vs legacy, serial vs
+parallel, traced vs untraced, HTTP vs library).  This harness keeps the
+rows neither of them measures:
 
-* ``engine`` — direct measurements of the unified exploration engine on
-  representative workloads per Table 1 fragment: states explored, wall time,
-  states/sec, guard-cache hit rate, formula evaluations performed vs. the
-  legacy-equivalent count (every cache hit is an evaluation the pre-engine
-  explorers would have run), shape-interning counters, an engine-vs-legacy
-  state-set parity verdict, a *store-backed* bounded workload (the same
-  exploration through an on-disk ``SqliteStore``) reporting both throughputs
-  so the persistence overhead is tracked release over release, and
-  *parallel* workloads (``--workers``) running the largest bounded family on
-  the ``ParallelExplorationEngine`` at each requested worker count —
-  reporting serial and parallel states/sec, the speedup, the host's CPU
-  count (a 1-core host cannot speed up CPU-bound work, so the speedup figure
-  is only meaningful alongside ``cpu_count``), a serial-vs-parallel
-  bit-identity verdict that the ``--check`` gate enforces unconditionally,
-  and the worker answers' volume metrics — payload bytes, wire bytes
-  per candidate (gated to stay >=40% below the PR 3 per-candidate encoding,
-  which is measured on the serial reference for comparison), shape-dedup hit
-  rate and decode time.  A *bounded-residency attach* workload builds a
-  large store (``--attach-states``), re-attaches with a small
-  ``--resident-budget`` and verifies bit-identity with the unbounded attach
-  (serial and 2-worker) while recording peak RSS and the resident counters
-  (``states_resident``, ``reps_resident``, ``hydration_rows_skipped``); the
-  ``--check`` gate requires the bounded attach to hydrate less than 50% of
-  the shape table and to finish within its budget.  When
-  ``benchmarks/campaign_corpus/`` exists (workloads mined and promoted by
-  ``repro campaign promote``), every corpus form is explored under the
-  campaign's own state cap and gated on legacy parity *and* on still
-  matching the manifest's state/transition counts.  A *telemetry* workload
-  (:mod:`repro.obs`) measures the same exploration with tracing disabled and
-  enabled — min-of-N interleaved runs — and records the overhead fraction
-  (gated to stay under :data:`TELEMETRY_OVERHEAD_CEILING`), a bit-identity
-  verdict for both traced serial and traced 2-worker runs, whether the
-  merged trace contains per-worker spans, and a periodic RSS time series
-  sampled between waves (``--trace PATH`` additionally writes the merged
-  Chrome trace-event file for Perfetto).  A *service* workload boots the
-  analysis pod server (``repro serve``'s machinery) on an ephemeral port,
-  drains a batch of HTTP-submitted jobs and records job throughput plus two
-  gated verdicts: every wire result matches the direct library call
-  (``service_parity``) and two jobs whose declared budgets exceed the pod's
-  capacity are never resident together (``admission_serialized``).
+* ``bounded-store`` — exploration through a fresh and a re-attached
+  ``SqliteStore`` against the same exploration in memory;
+* ``bounded-attach`` — a budget-bounded attach to a large store;
+* ``telemetry`` — the overhead of enabled telemetry;
+* ``result-cache`` — warm cache hits against cold analyses;
+* ``campaign-corpus`` — the forms ``repro campaign promote`` committed under
+  ``benchmarks/campaign_corpus/``.
 
-* ``pytest_benchmarks`` — the per-test timings of every ``bench_*.py``
-  module, collected through ``pytest-benchmark``'s JSON output.  Skipped
-  with ``--quick`` (the full sweep takes minutes).
+Each row's function says what it checks.  Each row runs in a fresh
+``spawn`` process, so its ``peak_rss_kb`` is its own.  Each timed leg runs
+:data:`REPEATS` times, interleaved with the row's other legs; the row
+reports the min, quartiles and median of its seconds, and states/sec from
+the fastest run.  The report's ``host`` block records where
+it was measured.
+
+Without ``--quick`` the per-test timings of every ``bench_*.py`` module are
+also collected through ``pytest-benchmark``'s JSON output (minutes).
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/run_all.py --quick          # engine metrics only
-    PYTHONPATH=src python benchmarks/run_all.py                  # full sweep
+    PYTHONPATH=src python benchmarks/run_all.py --quick          # engine rows only
+    PYTHONPATH=src python benchmarks/run_all.py                  # plus the sweep
     PYTHONPATH=src python benchmarks/run_all.py -k completability
     PYTHONPATH=src python benchmarks/run_all.py --check          # gate vs baseline
-    PYTHONPATH=src python benchmarks/run_all.py --smoke          # --quick + --check
+    PYTHONPATH=src python benchmarks/run_all.py --smoke          # CI: --quick + --check
 
-Regression gate: ``--check`` compares the fresh measurements against the
-committed ``BENCH_engine.json`` baseline (override with ``--baseline``) and
-exits non-zero when any workload's states/sec drops by more than
-``--threshold`` (default 25%), when parity with the legacy explorers breaks,
-or when a baseline workload disappears.  ``--smoke`` is the CI entry point:
-engine metrics only, then the gate.
+Regression gate: ``--check`` compares the fresh report against the committed
+``BENCH_engine.json`` (override with ``--baseline``).  It always fails on a
+broken deterministic verdict, a limit the constants below set, a campaign
+row that needs more formula evaluations than ``--threshold`` allows, or a
+baseline row the run no longer measures.  States/sec drift beyond ``--threshold`` (default
+25%) is gated only against a baseline whose ``host`` block equals this one:
+throughput measured on another machine says nothing about this change.
+``--smoke`` scales the attach store down from 100k to 20k states.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import multiprocessing
 import os
+import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -77,63 +59,128 @@ from pathlib import Path
 
 BENCH_DIR = Path(__file__).resolve().parent
 REPO_ROOT = BENCH_DIR.parent
+CORPUS_MANIFEST = BENCH_DIR / "campaign_corpus" / "manifest.json"
 
-
-# --------------------------------------------------------------------------- #
-# engine metrics
-# --------------------------------------------------------------------------- #
-
-
-def _engine_workloads():
-    """(name, guarded form, kind) triples covering the Table 1 fragments."""
-    from repro.benchgen.families import (
-        deadlock_family,
-        positive_chain_family,
-        sat_completability_family,
-    )
-    from repro.fbwis.catalog import leave_application
-
-    sat_form, _ = sat_completability_family(8, seed=8)
-    deadlock_form, _ = deadlock_family(3, seed=3)
-    return [
-        ("A+,phi+,1 positive chain (n=24)", positive_chain_family(24), "depth1"),
-        ("A+,phi-,1 SAT reduction (n=8)", sat_form, "depth1"),
-        ("A-,phi-,1 deadlock reduction (k=3)", deadlock_form, "depth1"),
-        ("A-,phi+,k leave application", leave_application(single_period=True), "bounded"),
-    ]
-
-
-#: Required reduction of wire bytes per candidate vs the PR 3 encoding; the
-#: --check gate fails any parallel workload that misses it.
-WIRE_REDUCTION_FLOOR = 0.40
+#: Runs of each timed leg.  Legs of one row alternate, and every other round
+#: runs them in reverse order, so drift over the row hits each leg alike.
+REPEATS = 5
 
 #: Ceiling on the fraction of a prebuilt store's shape table a
-#: budget-bounded attach may hydrate; the --check gate fails the attach
-#: workload when lazy hydration restores more than this.
+#: budget-bounded attach may hydrate.
 ATTACH_HYDRATION_CEILING = 0.50
 
-#: Required speedup of a warm result-cache hit over the cold analysis run;
-#: the --check gate fails the cache workload below it.  The warm path is a
-#: single KV read + JSON decode, so 10x is conservative — the observed
-#: figure is orders of magnitude higher.
+#: Resident budget of the bounded attach, in states.
+ATTACH_BUDGET = 1024
+
+#: Required speedup of a warm result-cache hit over the cold analysis.  The
+#: warm path is one KV read and a JSON decode, so 10x is conservative.
 CACHE_SPEEDUP_FLOOR = 10.0
 
-#: Ceiling on the telemetry-enabled vs -disabled states/sec overhead; the
-#: --check gate fails the telemetry workload when tracing a serial
-#: exploration costs more than this fraction of throughput (min-of-N
-#: interleaved runs on both sides, so a one-off scheduler hiccup cannot
-#: fail the gate by itself).
+#: Ceiling on the overhead of enabled telemetry, gated on the lower quartile
+#: of the per-pair overheads: a gate that fails then has most pairs above it.
 TELEMETRY_OVERHEAD_CEILING = 0.05
 
 
-def _peak_rss_kb() -> "int | None":
-    """The process's peak resident set size so far, in KiB.
+# --------------------------------------------------------------------------- #
+# measurement helpers
+# --------------------------------------------------------------------------- #
 
-    Cumulative across the whole benchmark process (Linux never lowers
-    ``ru_maxrss``), so per-workload values are upper bounds — the attach
-    workload's bound is still what matters: a budget-bounded attach must not
-    drag the whole table into memory.
+
+def interleaved(legs: dict, keep=lambda result: result) -> dict:
+    """Run each zero-argument leg of *legs* :data:`REPEATS` times,
+    round-robin, reversing the order on odd rounds.  Returns
+    ``{leg: [(seconds, keep(result))]}`` in run order, so the i-th entries of
+    two legs form one pair.
+
+    Each leg first runs once untimed, so no timed run pays for lazy set-up.
+    *keep* reduces a result to what the row needs, outside the timed
+    region, and the result itself is dropped before the next run: a live
+    graph from an earlier run makes the cyclic collector slow the next
+    exploration by about 40%.  The garbage of earlier runs is collected before each run for
+    the same reason.
     """
+    runs: dict = {name: [] for name in legs}
+    order = list(legs)
+    for leg in legs.values():
+        leg()
+    for round_index in range(REPEATS):
+        for name in order if round_index % 2 == 0 else reversed(order):
+            gc.collect()
+            started = time.perf_counter()
+            result = legs[name]()
+            elapsed = time.perf_counter() - started
+            runs[name].append((elapsed, keep(result)))
+            del result
+    return runs
+
+
+def spread(samples) -> dict:
+    """Min, quartiles and median of *samples*."""
+    q1, median, q3 = statistics.quantiles(samples, n=4)
+    return {
+        "min": round(min(samples), 6),
+        "q1": round(q1, 6),
+        "median": round(median, 6),
+        "q3": round(q3, 6),
+    }
+
+
+def leg_seconds(runs: list) -> dict:
+    """The spread of one leg's run times."""
+    return spread([elapsed for elapsed, _ in runs])
+
+
+def timed_fields(states: int, runs: list) -> dict:
+    """A row's ``seconds`` spread and its states/sec in its fastest run:
+    other load on the host only ever slows a run down."""
+    seconds = leg_seconds(runs)
+    return {
+        "seconds": seconds,
+        "states_per_second": round(states / seconds["min"], 1),
+    }
+
+
+def graph_digest(graph) -> tuple:
+    """A graph's state count and a hash of its state ids and node-id-exact
+    transitions: runs of one process are bit-identical when these agree."""
+    edges = tuple(
+        (
+            source,
+            tuple(
+                (
+                    type(update).__name__,
+                    getattr(update, "parent_id", None),
+                    getattr(update, "node_id", None),
+                    getattr(update, "label", None),
+                    target,
+                )
+                for update, target in targets
+            ),
+        )
+        for source, targets in sorted(graph.transitions.items())
+    )
+    return len(graph.states), hash((frozenset(graph.states), edges))
+
+
+def agree(runs: dict) -> bool:
+    """Whether every timed run of every leg kept the same graph digest, as
+    the first item of its kept result."""
+    return len({result[0] for leg in runs.values() for _, result in leg}) == 1
+
+
+def host_block() -> dict:
+    """Where a report was measured; throughput is compared only between
+    reports whose blocks are equal."""
+    return {
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "system": platform.system(),
+    }
+
+
+def _peak_rss_kb() -> "int | None":
+    """This process's peak resident set size, in KiB."""
     try:
         import resource
     except ImportError:  # pragma: no cover - non-POSIX host
@@ -152,676 +199,239 @@ def _relative_series(samples) -> list:
     return [[round(ts - origin, 3), value] for ts, value in samples]
 
 
-def measure_telemetry(frontier: str, trace_path: "str | None" = None) -> dict:
-    """Telemetry overhead, traced bit-identity and the periodic RSS series.
+def _measure_row(measure, *args) -> dict:
+    row = measure(*args)
+    row["peak_rss_kb"] = _peak_rss_kb()
+    return row
 
-    Three legs on the bounded reference family:
 
-    * **overhead** — the same serial exploration with telemetry disabled and
-      enabled, interleaved (disabled, enabled, disabled, …) so thermal /
-      cache drift hits both sides equally; the overhead fraction compares
-      the min of each side.  When the fraction lands above
-      :data:`TELEMETRY_OVERHEAD_CEILING` after three round trips, up to two
-      extra rounds run before the figure is recorded — the gate should fail
-      on real overhead, not on one noisy round.
-    * **traced parallel** — a 2-worker exploration under a live recorder;
-      the merged trace must contain per-worker spans and the graph must be
-      bit-identical to the untraced serial reference.  With *trace_path*
-      the merged Chrome trace-event file is written there.
-    * **RSS series** — the periodic gauge the engine samples at checkpoint
-      cadence (serial) and between waves (parallel), recorded as a
-      ``[seconds_since_start, kb]`` time series.
-    """
+def in_fresh_process(measure, *args) -> dict:
+    """``measure(*args)`` in a new spawned interpreter, so the row's peak RSS
+    and heap are its own, not those of the rows measured before it."""
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        return pool.apply(_measure_row, (measure, *args))
+
+
+def _deep_form_and_limits():
+    """The bounded reference workload of the store and telemetry rows."""
     from repro.analysis.results import ExplorationLimits
     from repro.benchgen.families import positive_deep_family
-    from repro.engine import ExplorationEngine, ParallelExplorationEngine
-    from repro.obs import NO_TELEMETRY, Telemetry
 
-    form = positive_deep_family(4, width=2)
-    limits = ExplorationLimits(max_states=2_500, max_instance_nodes=24)
+    return (
+        positive_deep_family(4, width=2),
+        ExplorationLimits(max_states=2_500, max_instance_nodes=24),
+    )
 
-    def exact_edges(graph):
-        return {
-            source: [
-                (
-                    type(update).__name__,
-                    getattr(update, "parent_id", None),
-                    getattr(update, "node_id", None),
-                    getattr(update, "label", None),
-                    target,
-                )
-                for update, target in edges
-            ]
-            for source, edges in graph.transitions.items()
-        }
 
-    def run(telemetry):
-        engine = ExplorationEngine(
-            form, limits=limits, strategy=frontier, telemetry=telemetry
+# --------------------------------------------------------------------------- #
+# rows
+# --------------------------------------------------------------------------- #
+
+
+def measure_store_backed() -> dict:
+    """Fresh-store and re-attached explorations against the in-memory one.
+
+    The ``store`` leg opens a new ``SqliteStore`` each run and writes every
+    row, as the pod does for each job; ``reattach`` explores the store its
+    own untimed first run filled; ``memory`` has no store.
+    ``store_vs_memory`` is the median time ratio of the first to the last.
+    Every run must be bit-identical with every other.
+    """
+    from repro.engine import ExplorationEngine, SqliteStore
+
+    form, limits = _deep_form_and_limits()
+    with tempfile.TemporaryDirectory() as tmp:
+        fresh_paths = (Path(tmp) / f"fresh-{index}.db" for index in range(REPEATS + 1))
+        attach_path = Path(tmp) / "attach.db"
+
+        def explore(path=None):
+            store = SqliteStore(path) if path else None
+            try:
+                engine = ExplorationEngine(form, limits=limits, store=store)
+                return engine.explore(), engine.stats_snapshot()
+            finally:
+                if store is not None:
+                    store.close()
+
+        runs = interleaved(
+            {
+                "store": lambda: explore(next(fresh_paths)),
+                "reattach": lambda: explore(attach_path),
+                "memory": explore,
+            },
+            keep=lambda result: (graph_digest(result[0]), result[1]),
         )
-        started = time.perf_counter()
-        graph = engine.explore()
-        return graph, time.perf_counter() - started
-
-    reference, _ = run(NO_TELEMETRY)
-    reference_edges = exact_edges(reference)
-
-    disabled_times: list[float] = []
-    enabled_times: list[float] = []
-    pair_ratios: list[float] = []
-    serial_parity = True
-    serial_telemetry = None
-    rounds = 0
-    while rounds < 9:
-        rounds += 1
-        _, disabled_elapsed = run(NO_TELEMETRY)
-        serial_telemetry = Telemetry(process="bench-serial")
-        traced_graph, enabled_elapsed = run(serial_telemetry)
-        disabled_times.append(disabled_elapsed)
-        enabled_times.append(enabled_elapsed)
-        serial_parity = serial_parity and (
-            traced_graph.states == reference.states
-            and exact_edges(traced_graph) == reference_edges
-        )
-        # the overhead estimate is the best *adjacent pair* ratio, not
-        # min-enabled vs min-disabled: on a loaded/1-CPU host the machine
-        # drifts over the trial, and unpaired minima can land in different
-        # drift regimes, reporting drift as overhead.  Each pair runs
-        # back-to-back, so its ratio cancels the drift; one clean pair is
-        # enough to exonerate the instrumentation.
-        if disabled_elapsed:
-            pair_ratios.append(enabled_elapsed / disabled_elapsed)
-        overhead = max(0.0, min(pair_ratios) - 1.0) if pair_ratios else None
-        if rounds >= 3 and (overhead is None or overhead <= TELEMETRY_OVERHEAD_CEILING):
-            break
-
-    serial_series = _relative_series(
-        serial_telemetry.snapshot()["metrics"].get("rss_kb_series", [])
-    )
-
-    # traced parallel leg: one merged recorder over coordinator + 2 workers
-    par_telemetry = Telemetry(process="coordinator")
-    par_engine = ParallelExplorationEngine(
-        form, limits=limits, strategy=frontier, workers=2, telemetry=par_telemetry
-    )
-    try:
-        par_engine.spawn_workers()
-        par_graph = par_engine.explore()
-    finally:
-        par_engine.shutdown_workers()
-    par_stats = par_engine.stats_snapshot()
-    traced_parallel_parity = (
-        par_graph.states == reference.states
-        and exact_edges(par_graph) == reference_edges
-    )
-    events = par_telemetry.events()
-    trace_processes = sorted(
-        event["args"]["name"] for event in events if event.get("ph") == "M"
-    )
-    trace_has_worker_spans = any(
-        event.get("ph") == "X" and str(event.get("name", "")).startswith("worker.")
-        for event in events
-    )
-    parallel_series = _relative_series(
-        par_telemetry.snapshot()["metrics"].get("rss_kb_series", [])
-    )
-    if trace_path:
-        count = par_telemetry.write_chrome_trace(trace_path)
-        print(f"[run_all] wrote {count} trace event(s) to {trace_path}", flush=True)
-
-    states = len(reference.states)
-    best_enabled = min(enabled_times)
-    best_disabled = min(disabled_times)
-    return {
-        "workload": "A+,phi+,k positive deep (d=4) [telemetry]",
-        "kind": "telemetry",
-        "frontier": frontier,
+    states = runs["memory"][0][1][0][0]
+    store_stats = runs["store"][-1][1][1]
+    row = {
+        "workload": "A+,phi+,k positive deep (d=4) [sqlite store]",
+        "kind": "bounded-store",
         "states": states,
-        "explore_seconds": round(best_enabled, 6),
-        "states_per_second": (
-            round(states / best_enabled, 1) if best_enabled else None
-        ),
-        "disabled_states_per_second": (
-            round(states / best_disabled, 1) if best_disabled else None
-        ),
-        "telemetry_overhead_fraction": (
-            round(overhead, 4) if overhead is not None else None
-        ),
-        "telemetry_overhead_rounds": rounds,
-        "telemetry_parity": serial_parity,
-        "traced_parallel_parity": traced_parallel_parity,
-        "trace_events": len(events),
-        "trace_processes": trace_processes,
-        "trace_has_worker_spans": trace_has_worker_spans,
-        "worker_snapshots_merged": par_stats["worker_snapshots_merged"],
-        "rss_series_kb": serial_series,
-        "parallel_rss_series_kb": parallel_series,
-        "peak_rss_kb": _peak_rss_kb(),
+        **timed_fields(states, runs["store"]),
+        "reattach_seconds": leg_seconds(runs["reattach"]),
+        "memory_seconds": leg_seconds(runs["memory"]),
+        "store_rows_written": store_stats["store_rows_written"],
+        "store_flushes": store_stats["store_flushes"],
+        "reattach_store_rows_read": runs["reattach"][-1][1][1]["store_rows_read"],
+        "checks": {"store_matches_memory": agree(runs)},
     }
+    row["store_vs_memory"] = round(
+        row["seconds"]["median"] / row["memory_seconds"]["median"], 3
+    )
+    row["reattach_vs_memory"] = round(
+        row["reattach_seconds"]["median"] / row["memory_seconds"]["median"], 3
+    )
+    return row
 
 
-def measure_residency_attach(frontier: str, attach_states: int, budget: int) -> dict:
+def measure_residency_attach(attach_states: int) -> dict:
     """Build a large store, then attach to it with a small resident budget.
 
-    The store is built once (unbounded residency — the build is harness
-    setup, not the thing under test), then explored three times with limits
-    that touch only a slice of the table: a fresh unbounded attach (the
-    reference), a ``resident_budget``-bounded attach, and a bounded attach
-    with 2 worker processes.  The gate enforces that both bounded runs are
-    bit-identical to the reference, that resident counters stay within the
-    budget, and that hydration restored less than
-    :data:`ATTACH_HYDRATION_CEILING` of the shape table — the "attach to a
-    10^7-state store on a small-RAM machine" contract, scaled to bench time.
+    The build (unbounded residency) is setup and timed once.  Then the
+    ``unbounded`` and the :data:`ATTACH_BUDGET`-bounded attach, under limits
+    that touch only a slice of the table, alternate.  The bounded attach runs
+    under a metrics recorder, so the row ships its RSS time series.  Every
+    run must be bit-identical with every other, and the bounded
+    attach must hydrate less than :data:`ATTACH_HYDRATION_CEILING` of the
+    shape table and end within its budget.
     """
     from repro.analysis.results import ExplorationLimits
     from repro.benchgen.families import positive_deep_family
-    from repro.engine import ExplorationEngine, ParallelExplorationEngine, SqliteStore
+    from repro.engine import ExplorationEngine, SqliteStore
+    from repro.obs import Telemetry
 
     form = positive_deep_family(4, width=2)
     build_limits = ExplorationLimits(max_states=attach_states, max_instance_nodes=28)
-    touch_states = max(2_000, attach_states // 25)
-    touch_limits = ExplorationLimits(max_states=touch_states, max_instance_nodes=28)
-
-    def exact_edges(graph):
-        return {
-            source: [
-                (
-                    type(update).__name__,
-                    getattr(update, "parent_id", None),
-                    getattr(update, "node_id", None),
-                    getattr(update, "label", None),
-                    target,
-                )
-                for update, target in edges
-            ]
-            for source, edges in graph.transitions.items()
-        }
+    touch_limits = ExplorationLimits(
+        max_states=max(2_000, attach_states // 25), max_instance_nodes=28
+    )
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "attach.db"
         build_store = SqliteStore(path, batch_size=4096)
-        build_engine = ExplorationEngine(form, limits=build_limits, store=build_store)
         started = time.perf_counter()
-        build_graph = build_engine.explore()
+        build_graph = ExplorationEngine(form, limits=build_limits, store=build_store).explore()
         build_elapsed = time.perf_counter() - started
         table_rows = build_store.shape_row_count()
         build_store.close()
-        del build_engine, build_store
+        build_states = len(build_graph.states)
+        del build_graph
 
-        def attach_store():
-            return SqliteStore(path)
+        def attach(budget):
+            store = SqliteStore(path)
+            telemetry = Telemetry(process="bench-attach")
+            try:
+                engine = ExplorationEngine(
+                    form,
+                    limits=touch_limits,
+                    store=store,
+                    resident_budget=budget,
+                    telemetry=telemetry,
+                )
+                return (
+                    engine.explore(),
+                    engine.stats_snapshot(),
+                    telemetry.snapshot()["metrics"],
+                )
+            finally:
+                store.close()
 
-        # reference: fresh unbounded attach, touching the same slice
-        ref_store = attach_store()
-        ref_engine = ExplorationEngine(form, limits=touch_limits, store=ref_store)
-        started = time.perf_counter()
-        reference = ref_engine.explore()
-        ref_elapsed = time.perf_counter() - started
-        ref_store.close()
-
-        # the measured run: bounded attach, under a metrics recorder so the
-        # residency story ships as a periodic RSS time series rather than a
-        # single end-of-run peak (the recorder itself is gated at <=5%
-        # overhead by the telemetry workload)
-        from repro.obs import Telemetry
-
-        attach_obs = Telemetry(process="bench-attach")
-        store = attach_store()
-        engine = ExplorationEngine(
-            form,
-            limits=touch_limits,
-            store=store,
-            resident_budget=budget,
-            telemetry=attach_obs,
-        )
-        started = time.perf_counter()
-        graph = engine.explore()
-        elapsed = time.perf_counter() - started
-        stats = engine.stats_snapshot()
-        store.close()
-        budget_parity = (
-            graph.states == reference.states
-            and exact_edges(graph) == exact_edges(reference)
+        runs = interleaved(
+            {"unbounded": lambda: attach(None), "bounded": lambda: attach(ATTACH_BUDGET)},
+            keep=lambda result: (graph_digest(result[0]), *result[1:]),
         )
 
-        # bounded attach with worker processes (shard hydration path)
-        par_store = attach_store()
-        par_engine = ParallelExplorationEngine(
-            form, limits=touch_limits, store=par_store, workers=2, resident_budget=budget
-        )
-        try:
-            par_engine.spawn_workers()
-            par_graph = par_engine.explore()
-        finally:
-            par_engine.shutdown_workers()
-        par_store.close()
-        parallel_parity = (
-            par_graph.states == reference.states
-            and exact_edges(par_graph) == exact_edges(reference)
-        )
-
+    (states, _), stats, metrics = runs["bounded"][-1][1]
     restored = stats["intern_states_restored_distinct"]
-    states = len(graph.states)
-    attach_metrics = attach_obs.snapshot()["metrics"]
     return {
         "workload": (
             f"A+,phi+,k positive deep (d=4) "
-            f"[store attach n={attach_states} budget={budget}]"
+            f"[store attach n={attach_states} budget={ATTACH_BUDGET}]"
         ),
         "kind": "bounded-attach",
-        "frontier": frontier,
-        "resident_budget": budget,
-        "build_states": len(build_graph.states),
+        "resident_budget": ATTACH_BUDGET,
+        "build_states": build_states,
         "build_seconds": round(build_elapsed, 6),
         "table_rows": table_rows,
         "states": states,
-        "explore_seconds": round(elapsed, 6),
-        "states_per_second": round(states / elapsed, 1) if elapsed else None,
-        "unbounded_attach_states_per_second": (
-            round(len(reference.states) / ref_elapsed, 1) if ref_elapsed else None
-        ),
-        "attach_budget_parity": budget_parity,
-        "attach_parallel_parity": parallel_parity,
+        **timed_fields(states, runs["bounded"]),
+        "unbounded_seconds": leg_seconds(runs["unbounded"]),
         "states_resident": stats["states_resident"],
         "reps_resident": stats["reps_resident"],
         "reps_evicted": stats["reps_evicted"],
         "hydration_rows_skipped": stats["hydration_rows_skipped"],
         "hydration_rows_restored": restored,
-        "hydration_fraction_restored": (
-            round(restored / table_rows, 4) if table_rows else None
-        ),
+        "hydration_fraction_restored": round(restored / table_rows, 4) if table_rows else None,
         "store_id_lookups": stats["store_id_lookups"],
-        "peak_rss_kb": _peak_rss_kb(),
-        "rss_series_kb": _relative_series(attach_metrics.get("rss_kb_series", [])),
-        "eviction_sweeps": attach_metrics.get("eviction_sweeps", 0),
+        "rss_series_kb": _relative_series(metrics.get("rss_kb_series", [])),
+        "eviction_sweeps": metrics.get("eviction_sweeps", 0),
+        "checks": {"budget_matches_unbounded": agree(runs)},
     }
 
 
-def measure_parallel(frontier: str, worker_counts: list[int]) -> list[dict]:
-    """The largest bounded family, serial vs. parallel at each worker count.
+def measure_telemetry(trace_path: "str | None" = None) -> dict:
+    """Overhead of enabled telemetry on a serial exploration.
 
-    Parity is checked bit-for-bit (state ids *and* node-id-exact
-    transitions); the serial run is measured on a fresh engine each time so
-    both sides start cold.  Each row also records the worker answers'
-    volume metrics (payload bytes, bytes per candidate, shape-dedup hit rate,
-    decode time) next to the PR 3 per-candidate encoding cost measured on the
-    serial reference, so the --check gate can enforce the reduction floor.
+    The ``disabled`` and ``enabled`` legs alternate, and which one runs
+    first alternates with them.  Each round's pair ratio cancels drift that
+    spans the pair; the overhead is the median pair ratio minus one, with
+    its quartiles, and the lower quartile must stay under
+    :data:`TELEMETRY_OVERHEAD_CEILING`.  Every run must be bit-identical
+    with every other.  With *trace_path*, the last traced run's Chrome
+    trace-event file is written there.
     """
-    from repro.analysis.results import ExplorationLimits
-    from repro.benchgen.families import positive_deep_family
-    from repro.engine import ExplorationEngine, ParallelExplorationEngine
-    from repro.engine.wire import pr3_encoding_cost
-
-    form = positive_deep_family(4, width=2)
-    limits = ExplorationLimits(max_states=4_000, max_instance_nodes=24)
-
-    def exact_edges(graph):
-        return {
-            source: [
-                (
-                    type(update).__name__,
-                    getattr(update, "parent_id", None),
-                    getattr(update, "node_id", None),
-                    getattr(update, "label", None),
-                    target,
-                )
-                for update, target in edges
-            ]
-            for source, edges in graph.transitions.items()
-        }
-
-    serial_engine = ExplorationEngine(form, limits=limits, strategy=frontier)
-    started = time.perf_counter()
-    reference = serial_engine.explore()
-    serial_elapsed = time.perf_counter() - started
-    serial_states = len(reference.states)
-    serial_sps = round(serial_states / serial_elapsed, 1) if serial_elapsed else None
-    legacy_bytes, legacy_candidates = pr3_encoding_cost(serial_engine)
-    legacy_per_candidate = (
-        round(legacy_bytes / legacy_candidates, 2) if legacy_candidates else None
-    )
-
-    rows = []
-    for index, workers in enumerate(worker_counts):
-        engine = ParallelExplorationEngine(
-            form, limits=limits, strategy=frontier, workers=workers
-        )
-        try:
-            # spawn (and later join) the pool outside the timed window: the
-            # recorded throughput measures exploration, not process startup
-            engine.spawn_workers()
-            started = time.perf_counter()
-            graph = engine.explore()
-            elapsed = time.perf_counter() - started
-            stats = engine.stats_snapshot()
-        finally:
-            engine.shutdown_workers()
-        parity = (
-            graph.states == reference.states
-            and exact_edges(graph) == exact_edges(reference)
-        )
-        states = len(graph.states)
-        parallel_sps = round(states / elapsed, 1) if elapsed else None
-        rows.append(
-            {
-                "workload": f"A+,phi+,k positive deep (d=4) [parallel workers={workers}]",
-                "kind": "bounded-parallel",
-                "frontier": frontier,
-                "workers": workers,
-                "cpu_count": os.cpu_count(),
-                "states": states,
-                "explore_seconds": round(elapsed, 6),
-                "serial_explore_seconds": round(serial_elapsed, 6),
-                "serial_states_per_second": serial_sps,
-                # recorded under the generic key too, so the --check
-                # states/sec regression gate covers the parallel path
-                "states_per_second": parallel_sps,
-                "parallel_states_per_second": parallel_sps,
-                "speedup_vs_serial": (
-                    round(serial_elapsed / elapsed, 3) if elapsed else None
-                ),
-                "serial_parallel_parity": parity,
-                "guard_cache_hit_rate": stats["guard_cache_hit_rate"],
-                "states_prefetched": stats["states_prefetched"],
-                "waves_dispatched": stats["waves_dispatched"],
-                "worker_guard_entries_merged": stats["worker_guard_entries_merged"],
-                # worker answers: volume + dedup + decode cost,
-                # and the PR 3 encoding cost for the same candidates
-                "wire_frames_received": stats["wire_frames_received"],
-                "wire_bytes_received": stats["wire_bytes_received"],
-                "wire_expansion_bytes": stats["wire_expansion_bytes"],
-                "wire_guard_bytes": stats["wire_guard_bytes"],
-                "wire_bytes_per_candidate": stats["wire_bytes_per_candidate"],
-                "wire_dedup_hit_rate": stats["wire_dedup_hit_rate"],
-                "wire_decode_seconds": stats["wire_decode_seconds"],
-                "legacy_wire_bytes_per_candidate": legacy_per_candidate,
-                "wire_reduction_vs_legacy": (
-                    round(1.0 - stats["wire_bytes_per_candidate"] / legacy_per_candidate, 4)
-                    if stats["wire_bytes_per_candidate"] and legacy_per_candidate
-                    else None
-                ),
-                "peak_rss_kb": _peak_rss_kb(),
-            }
-        )
-    return rows
-
-
-def measure_campaign_corpus(frontier: str) -> "list[dict]":
-    """Explore every committed campaign-corpus workload.
-
-    The corpus (``benchmarks/campaign_corpus/``) holds the hardest agreeing
-    instances ``repro campaign promote`` mined out of scenario campaigns,
-    plus a manifest recording what the campaign measured for them.  Each
-    form is explored under the campaign's own state cap (the manifest's
-    ``max_states``) and two deterministic verdicts are recorded for the
-    ``--check`` gate: state-set parity with the legacy explorer, and that
-    the explored state/transition counts still match the manifest — a
-    campaign-mined workload silently changing size means the generator or
-    the engine drifted.
-    """
-    manifest_path = BENCH_DIR / "campaign_corpus" / "manifest.json"
-    if not manifest_path.exists():
-        return []
-    from repro.analysis.results import ExplorationLimits
-    from repro.analysis.statespace import (
-        legacy_explore_bounded,
-        legacy_explore_depth1,
-    )
     from repro.engine import ExplorationEngine
-    from repro.io.serialization import load_guarded_form
+    from repro.obs import NO_TELEMETRY, Telemetry
 
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    limits = ExplorationLimits(
-        max_states=manifest.get("max_states") or 400, max_instance_nodes=40
+    form, limits = _deep_form_and_limits()
+
+    def explore(telemetry):
+        engine = ExplorationEngine(form, limits=limits, telemetry=telemetry)
+        return engine.explore(), telemetry
+
+    runs = interleaved(
+        {
+            "disabled": lambda: explore(NO_TELEMETRY),
+            "enabled": lambda: explore(Telemetry(process="bench-serial")),
+        },
+        keep=lambda result: (graph_digest(result[0]), result[1]),
     )
-    results = []
-    for entry in manifest["workloads"]:
-        form = load_guarded_form(manifest_path.parent / entry["file"])
-        engine = ExplorationEngine(form, limits=limits, strategy=frontier)
-        started = time.perf_counter()
-        if entry["kind"] == "depth1":
-            graph = engine.explore_depth1()
-            parity = graph.states == legacy_explore_depth1(form).states
-        else:
-            graph = engine.explore()
-            parity = {graph.shape_of(s) for s in graph.states} == legacy_explore_bounded(
-                form, limits=limits
-            ).states
-        elapsed = time.perf_counter() - started
-        states = len(graph.states)
-        transitions = sum(len(edges) for edges in graph.transitions.values())
-        stats = engine.stats_snapshot()
-        results.append(
-            {
-                "workload": f"campaign-corpus {entry['family']} seed={entry['seed']}",
-                "kind": "campaign-corpus",
-                "family": entry["family"],
-                "seed": entry["seed"],
-                "frontier": frontier,
-                "states": states,
-                "transitions": transitions,
-                "explore_seconds": round(elapsed, 6),
-                "states_per_second": round(states / elapsed, 1) if elapsed else None,
-                "state_set_parity_with_legacy": parity,
-                "states_match_manifest": states == entry["states"]
-                and transitions == entry["transitions"],
-                "guard_cache_hit_rate": stats["guard_cache_hit_rate"],
-                "formula_evaluations": stats["formula_evaluations"],
-                "peak_rss_kb": _peak_rss_kb(),
-            }
-        )
-    return results
-
-
-def measure_engine(
-    frontier: str = "bfs",
-    worker_counts: "list[int] | None" = None,
-    attach_states: int = 100_000,
-    attach_budget: int = 1024,
-    trace_path: "str | None" = None,
-) -> dict:
-    """Run the engine workloads and collect the counters the issue tracks."""
-    from repro.analysis.results import ExplorationLimits
-    from repro.analysis.statespace import (
-        legacy_explore_bounded,
-        legacy_explore_depth1,
+    overheads = spread(
+        [
+            enabled / disabled - 1.0
+            for (disabled, _), (enabled, _) in zip(runs["disabled"], runs["enabled"])
+        ]
     )
-    from repro.analysis.semisoundness import decide_semisoundness
-    from repro.engine import ExplorationEngine
-
-    limits = ExplorationLimits(max_states=50_000, max_instance_nodes=30)
-    results = []
-    for name, form, kind in _engine_workloads():
-        engine = ExplorationEngine(form, limits=limits, strategy=frontier)
-        started = time.perf_counter()
-        if kind == "depth1":
-            graph = engine.explore_depth1()
-            states = len(graph.states)
-            legacy_states = legacy_explore_depth1(form).states
-            parity = graph.states == legacy_states
-        else:
-            graph = engine.explore()
-            states = len(graph.states)
-            legacy_states = legacy_explore_bounded(form, limits=limits).states
-            parity = {graph.shape_of(s) for s in graph.states} == legacy_states
-        elapsed = time.perf_counter() - started
-        # a second pass over the same engine: the semi-soundness workload,
-        # whose re-explorations are where the shared caches pay off
-        decide_semisoundness(form, limits=limits, frontier=frontier, engine=engine)
-        stats = engine.stats_snapshot()
-        legacy_equivalent_evals = stats["guard_cache_hits"] + stats["guard_cache_misses"]
-        results.append(
-            {
-                "workload": name,
-                "kind": kind,
-                "frontier": frontier,
-                "states": states,
-                "explore_seconds": round(elapsed, 6),
-                "states_per_second": round(states / elapsed, 1) if elapsed else None,
-                "state_set_parity_with_legacy": parity,
-                "guard_cache_hit_rate": stats["guard_cache_hit_rate"],
-                "formula_evaluations": stats["formula_evaluations"],
-                "formula_evaluations_legacy_equivalent": legacy_equivalent_evals,
-                "formula_evaluations_saved": stats["formula_evaluations_saved"],
-                "interned_states": stats["intern_interned_states"],
-                "interned_subtrees": stats["intern_interned_subtrees"],
-                "shape_nodes_rehashed": stats["shape_nodes_rehashed"],
-                "shape_nodes_full_walk_equivalent": stats["shape_nodes_full_walk_equivalent"],
-                "expansions_reused": stats["expansions_reused"],
-                "peak_rss_kb": _peak_rss_kb(),
-            }
-        )
-    results.append(measure_store_backed(frontier, limits))
-    if worker_counts is None:
-        worker_counts = [2, 4]
-    if worker_counts:  # an explicit empty list (--workers "") skips these
-        results.extend(measure_parallel(frontier, worker_counts))
-    if attach_states:  # --attach-states 0 skips the large-store workload
-        results.append(measure_residency_attach(frontier, attach_states, attach_budget))
-    results.append(measure_telemetry(frontier, trace_path=trace_path))
-    results.append(measure_service(frontier))
-    results.append(measure_cache(frontier))
-    results.extend(measure_campaign_corpus(frontier))
+    telemetry = runs["enabled"][-1][1][1]
+    if trace_path:
+        count = telemetry.write_chrome_trace(trace_path)
+        print(f"[run_all] wrote {count} trace event(s) to {trace_path}", flush=True)
+    states = runs["disabled"][0][1][0][0]
     return {
-        "limits": {"max_states": limits.max_states, "max_instance_nodes": limits.max_instance_nodes},
-        "cpu_count": os.cpu_count(),
-        "workloads": results,
-    }
-
-
-#: Parity-gated fields of an ``analysis-result/1`` wire dict: the service
-#: workload compares these between the HTTP round trip and the direct
-#: library call (wire stats also carry non-semantic fields like ``resumed``,
-#: which legitimately differ for sliced pod runs).
-_SERVICE_PARITY_FIELDS = ("problem", "decided", "answer", "procedure")
-_SERVICE_PARITY_STATS = ("states_explored", "transitions", "truncated")
-
-
-def _service_parity_view(result_wire: dict) -> dict:
-    view = {field: result_wire[field] for field in _SERVICE_PARITY_FIELDS}
-    stats = result_wire.get("stats") or {}
-    view.update({key: stats.get(key) for key in _SERVICE_PARITY_STATS})
-    return view
-
-
-def measure_service(frontier: str) -> dict:
-    """The analysis pod: HTTP job throughput, result parity, admission.
-
-    Two legs against in-process :class:`~repro.service.PodServer` instances
-    on ephemeral ports (the CLI's ``repro serve`` path, minus the process
-    boundary):
-
-    * **throughput + parity** — a batch of completability jobs submitted
-      over HTTP and drained by two pod workers; every wire result must
-      match the direct ``run_analysis`` call on the parity-gated fields
-      (answer, decided, procedure, states/transitions) — the ``--check``
-      gate fails on any divergence.
-    * **admission** — two jobs whose declared budgets (600 KiB each) cannot
-      both fit a 1000 KiB pod; the leg polls the job table and records
-      whether the pod ever let them be resident together.  The gate
-      enforces it never does.
-    """
-    from repro.service import AnalysisRequest, PodServer, ServerConfig, ServiceClient
-    from repro.service.dispatch import result_to_wire, run_analysis
-
-    request = AnalysisRequest(
-        form="leave-application-finite", kind="completability", frontier=frontier
-    )
-    reference = result_to_wire(run_analysis(request))
-    job_count = 8
-
-    with tempfile.TemporaryDirectory() as tmp:
-        server = PodServer(
-            ServerConfig(store_dir=str(Path(tmp) / "pod"), port=0, workers=2)
-        )
-        server.start()
-        try:
-            client = ServiceClient(f"http://127.0.0.1:{server.port}")
-            started = time.perf_counter()
-            submitted = [
-                client.submit(request)["job_id"] for _ in range(job_count)
-            ]
-            finals = [
-                client.wait(job_id, poll_seconds=0.005) for job_id in submitted
-            ]
-            elapsed = time.perf_counter() - started
-            results = [client.result(job_id) for job_id in submitted]
-            parity = all(final["state"] == "done" for final in finals) and all(
-                _service_parity_view(result) == _service_parity_view(reference)
-                for result in results
-            )
-            metrics = client.metrics()
-            slices = sum(
-                count
-                for name, count in metrics["metrics"].items()
-                if name.startswith("service.job.slices")
-            )
-        finally:
-            server.shutdown()
-
-    # admission leg: a pod too small for both declared budgets at once
-    with tempfile.TemporaryDirectory() as tmp:
-        server = PodServer(
-            ServerConfig(
-                store_dir=str(Path(tmp) / "pod"),
-                port=0,
-                workers=2,
-                capacity_kb=1000,
-                slice_steps=50,
-            )
-        )
-        server.start()
-        try:
-            client = ServiceClient(f"http://127.0.0.1:{server.port}")
-            big = AnalysisRequest(
-                form="leave-application",
-                kind="completability",
-                frontier=frontier,
-                max_states=300,
-                budget_kb=600,
-            )
-            ids = [client.submit(big)["job_id"] for _ in range(2)]
-            serialized = True
-            while True:
-                states = [server.jobs.get(job_id).state for job_id in ids]
-                if states.count("running") > 1:
-                    serialized = False
-                if all(state == "done" for state in states):
-                    break
-                time.sleep(0.002)
-        finally:
-            server.shutdown()
-
-    states = reference["stats"]["states_explored"]
-    return {
-        "workload": f"analysis service pod [{job_count} jobs, 2 workers]",
-        "kind": "service",
-        "frontier": frontier,
+        "workload": "A+,phi+,k positive deep (d=4) [telemetry]",
+        "kind": "telemetry",
         "states": states,
-        "jobs": job_count,
-        "explore_seconds": round(elapsed, 6),
-        "jobs_per_second": round(job_count / elapsed, 2) if elapsed else None,
-        "states_per_second": (
-            round(job_count * states / elapsed, 1) if elapsed else None
+        **timed_fields(states, runs["enabled"]),
+        "disabled_seconds": leg_seconds(runs["disabled"]),
+        "telemetry_overhead_fraction": overheads["median"],
+        "telemetry_overhead_q1": overheads["q1"],
+        "telemetry_overhead_q3": overheads["q3"],
+        "trace_events": len(telemetry.events()),
+        "rss_series_kb": _relative_series(
+            telemetry.snapshot()["metrics"].get("rss_kb_series", [])
         ),
-        "job_slices": slices,
-        "service_parity": parity,
-        "admission_serialized": serialized,
-        "peak_rss_kb": _peak_rss_kb(),
+        "checks": {"traced_matches_untraced": agree(runs)},
     }
 
 
-def measure_cache(frontier: str) -> dict:
+def measure_cache() -> dict:
     """The memoized analysis-result cache: warm-hit speedup, bit-identity.
 
-    One cold ``run_analysis_wire`` against a fresh :class:`SqliteKV` (the
-    ``--cache DIR`` default backend), then repeated warm hits on the same
-    request.  Two gates: the warm body must be byte-for-byte the cold body
-    (unconditional), and the warm hit must be at least
-    :data:`CACHE_SPEEDUP_FLOOR` times faster than the cold run.  The cold
-    leg also records states/sec, so the ordinary ``--threshold`` drift check
-    bounds how much overhead publishing into the cache may add to an
-    uncached-speed run.
+    The ``cold`` leg empties the result namespace of one ``SqliteKV`` (the
+    ``--cache DIR`` backend) and analyses; the ``warm`` leg repeats the
+    request, which the preceding cold run published.  Every body must be
+    byte-identical, and the median warm hit at least
+    :data:`CACHE_SPEEDUP_FLOOR` times faster than the median cold run.
     """
     from repro.cache import SqliteKV, use_cache
     from repro.service.dispatch import run_analysis_wire
@@ -832,116 +442,108 @@ def measure_cache(frontier: str) -> dict:
         "form": "leave-application",
         "kind": "completability",
         "max_states": 3_000,
-        "frontier": frontier,
     }
-    warm_rounds = 5
+
     with tempfile.TemporaryDirectory() as tmp:
         kv = SqliteKV(str(Path(tmp) / "cache.db"))
+
+        def analyse(clear: bool):
+            if clear:
+                for key, _ in list(kv.scan("results")):
+                    kv.delete("results", key)
+            status, body = run_analysis_wire(dict(payload))
+            if status != 200:
+                raise RuntimeError(f"cache row analysis failed: {status} {body}")
+            return json.dumps(body, sort_keys=True)
+
         with use_cache(kv):
-            started = time.perf_counter()
-            status, cold = run_analysis_wire(dict(payload))
-            cold_elapsed = time.perf_counter() - started
-            assert status == 200, cold
-            warm_times = []
-            warm_bodies = []
-            for _ in range(warm_rounds):
-                started = time.perf_counter()
-                status, warm = run_analysis_wire(dict(payload))
-                warm_times.append(time.perf_counter() - started)
-                assert status == 200, warm
-                warm_bodies.append(warm)
+            runs = interleaved({"cold": lambda: analyse(True), "warm": lambda: analyse(False)})
         hits = kv.stats()["namespaces"]["results"]["hits"]
         kv.close()
 
-    canonical = lambda body: json.dumps(body, sort_keys=True)  # noqa: E731
-    identical = all(canonical(body) == canonical(cold) for body in warm_bodies)
-    warm_elapsed = min(warm_times)  # best-of-N: gate on capability, not noise
-    states = cold["stats"]["states_explored"]
-    return {
+    cold_body = runs["cold"][0][1]
+    identical = all(body == cold_body for _, body in runs["cold"] + runs["warm"])
+    states = json.loads(cold_body)["stats"]["states_explored"]
+    row = {
         "workload": "memoized result cache [leave application]",
         "kind": "result-cache",
-        "frontier": frontier,
         "states": states,
-        "explore_seconds": round(cold_elapsed, 6),
-        "states_per_second": round(states / cold_elapsed, 1) if cold_elapsed else None,
-        "warm_hit_seconds": round(warm_elapsed, 6),
-        "cache_warm_speedup": (
-            round(cold_elapsed / warm_elapsed, 1) if warm_elapsed else None
-        ),
-        "cache_payload_identical": identical,
+        **timed_fields(states, runs["cold"]),
+        "warm_hit_seconds": leg_seconds(runs["warm"]),
         "cache_result_hits": hits,
-        "peak_rss_kb": _peak_rss_kb(),
+        "checks": {"warm_matches_cold": identical},
     }
+    row["cache_warm_speedup"] = round(
+        row["seconds"]["median"] / row["warm_hit_seconds"]["median"], 1
+    )
+    return row
 
 
-def measure_store_backed(frontier: str, limits) -> dict:
-    """The bounded reference workload explored through an on-disk SqliteStore.
+def measure_campaign_corpus(entry: dict, max_states: int) -> dict:
+    """Explore one committed campaign-corpus workload.
 
-    Two phases against one binary-row store: a **cold build** (fresh store,
-    every shape and every state's origin or representative row written
-    through — this is harness setup
-    *and* a tracked figure) and the **measured re-attach** (a second engine
-    on the same store, which resolves shapes through the binary-row fast
-    path).  Guard values are not persisted, so the re-attached engine
-    evaluates its guards afresh, as the build did.  The re-attach is the
-    deployment story (resume/extend an analysis against an existing store)
-    and is what the ``--check`` gate tracks under the historical workload
-    name.
+    The corpus holds the hardest agreeing instances ``repro campaign
+    promote`` mined out of scenario campaigns.  The form is explored under
+    the campaign's own state cap; the row checks state-set parity with the
+    legacy explorer and that the explored state/transition counts still
+    match the manifest, since a mined workload that changes size means the
+    generator or the engine drifted.
     """
-    from repro.engine import ExplorationEngine, SqliteStore
-    from repro.fbwis.catalog import leave_application
+    from repro.analysis.results import ExplorationLimits
+    from repro.analysis.statespace import legacy_explore_bounded, legacy_explore_depth1
+    from repro.engine import ExplorationEngine
+    from repro.io.serialization import load_guarded_form
 
-    form = leave_application(single_period=True)
-    reference = ExplorationEngine(form, limits=limits, strategy=frontier).explore()
-    reference_shapes = {reference.shape_of(s) for s in reference.states}
+    form = load_guarded_form(CORPUS_MANIFEST.parent / entry["file"])
+    limits = ExplorationLimits(max_states=max_states, max_instance_nodes=40)
+    depth1 = entry["kind"] == "depth1"
 
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "bench.db"
-        # phase 1: cold build (fresh store, every row written)
-        build_store = SqliteStore(path, batch_size=512)
-        build_engine = ExplorationEngine(
-            form, limits=limits, strategy=frontier, store=build_store
-        )
-        started = time.perf_counter()
-        build_graph = build_engine.explore()
-        cold_elapsed = time.perf_counter() - started
-        build_stats = build_engine.stats_snapshot()
-        build_store.close()
-        del build_engine, build_store
+    def explore():
+        engine = ExplorationEngine(form, limits=limits)
+        graph = engine.explore_depth1() if depth1 else engine.explore()
+        return graph, engine.stats_snapshot()
 
-        # phase 2 (measured): re-attach — the exploration finds its shapes
-        # in the store and evaluates its guards in memory
-        store = SqliteStore(path)
-        engine = ExplorationEngine(form, limits=limits, strategy=frontier, store=store)
-        started = time.perf_counter()
-        graph = engine.explore()
-        elapsed = time.perf_counter() - started
-        stats = engine.stats_snapshot()
-        parity = {graph.shape_of(s) for s in graph.states} == reference_shapes
-        cold_parity = (
-            {build_graph.shape_of(s) for s in build_graph.states} == reference_shapes
-        )
-        store.close()
+    runs = interleaved({"explore": explore})
+    graph, stats = runs["explore"][-1][1]
+    if depth1:
+        parity = graph.states == legacy_explore_depth1(form).states
+    else:
+        parity = {graph.shape_of(s) for s in graph.states} == legacy_explore_bounded(
+            form, limits=limits
+        ).states
     states = len(graph.states)
+    transitions = sum(len(edges) for edges in graph.transitions.values())
     return {
-        "workload": "A-,phi+,k leave application [sqlite store]",
-        "kind": "bounded-store",
-        "frontier": frontier,
+        "workload": f"campaign-corpus {entry['family']} seed={entry['seed']}",
+        "kind": "campaign-corpus",
+        "family": entry["family"],
+        "seed": entry["seed"],
         "states": states,
-        "explore_seconds": round(elapsed, 6),
-        "states_per_second": round(states / elapsed, 1) if elapsed else None,
-        "cold_build_seconds": round(cold_elapsed, 6),
-        "cold_states_per_second": (
-            round(len(build_graph.states) / cold_elapsed, 1) if cold_elapsed else None
-        ),
-        "cold_guard_cache_hit_rate": build_stats["guard_cache_hit_rate"],
-        "state_set_parity_with_legacy": parity and cold_parity,
+        "transitions": transitions,
+        **timed_fields(states, runs["explore"]),
         "guard_cache_hit_rate": stats["guard_cache_hit_rate"],
-        "store_rows_written": stats["store_rows_written"],
-        "store_flushes": stats["store_flushes"],
-        "store_rows_read": stats["store_rows_read"],
-        "peak_rss_kb": _peak_rss_kb(),
+        "formula_evaluations": stats["formula_evaluations"],
+        "checks": {
+            "legacy_parity": parity,
+            "matches_manifest": (states, transitions) == (entry["states"], entry["transitions"]),
+        },
     }
+
+
+def measure_engine(attach_states: int, trace_path: "str | None") -> list:
+    """Every row, each measured in its own process."""
+    rows = [
+        in_fresh_process(measure_store_backed),
+        in_fresh_process(measure_residency_attach, attach_states),
+        in_fresh_process(measure_telemetry, trace_path),
+        in_fresh_process(measure_cache),
+    ]
+    if CORPUS_MANIFEST.exists():
+        manifest = json.loads(CORPUS_MANIFEST.read_text(encoding="utf-8"))
+        max_states = manifest.get("max_states") or 400
+        for entry in manifest["workloads"]:
+            rows.append(in_fresh_process(measure_campaign_corpus, entry, max_states))
+    return rows
 
 
 # --------------------------------------------------------------------------- #
@@ -949,177 +551,80 @@ def measure_store_backed(frontier: str, limits) -> dict:
 # --------------------------------------------------------------------------- #
 
 
+def same_host(report: dict, baseline: dict) -> bool:
+    """Whether *baseline* was measured on a host like this report's."""
+    return baseline.get("host") is not None and baseline.get("host") == report.get("host")
+
+
 def check_regressions(report: dict, baseline: dict, threshold: float) -> list[str]:
-    """Compare *report* against the committed *baseline* (parsed JSON).
+    """Compare *report* against the parsed *baseline*; return the failures.
 
-    Returns a list of human-readable failures: a workload regressing by more
-    than *threshold* in states/sec, needing more formula evaluations than the
-    baseline allows (a deterministic counter, immune to timer noise), losing
-    state-set parity with the legacy explorers, breaking serial-vs-parallel
-    bit-identity, shipping more wire bytes per candidate than the PR 3
-    encoding minus the :data:`WIRE_REDUCTION_FLOOR`, growing its wire bytes
-    per candidate or wire decode time beyond *threshold* vs the baseline, or
-    disappearing from the report entirely.  Parallel workloads are keyed by worker count, so a
-    run measured with different ``--workers`` counts than the baseline simply
-    skips the missing rows (their speedups are host-dependent; the parity
-    verdict is what gates).
-
-    Baselines recorded before a metric existed are tolerated: every
-    comparison reads baseline fields with ``.get`` and skips (never
-    ``KeyError``\\ s) when the old file misses them — in particular the
-    ``wire_*`` fields absent from pre-PR-4 baselines.
+    On the fresh report alone, on any host: a false entry in a row's
+    ``checks``, and the hydration, resident-budget, telemetry-overhead and
+    cache-speedup limits.  Against the baseline, on any host: a baseline row
+    the report does not measure (unless the report measures that row's kind
+    under another name: an attach store of another size, a re-promoted
+    corpus) and formula evaluations grown beyond *threshold*.  Against a
+    baseline from the same host only: states/sec dropped beyond *threshold*.
+    Campaign rows finish in milliseconds, so their states/sec is never gated.
     """
     failures: list[str] = []
-    current = {w["workload"]: w for w in report["engine"]["workloads"]}
-    # parity and the wire-reduction floor are gated on the *fresh*
-    # measurements, baseline or not: a workload whose parallel graph diverges
-    # from serial, or whose wire encoding lost its edge over the PR 3 one,
-    # must fail even on the very first run that measures it
+    current = {row["workload"]: row for row in report["engine"]["workloads"]}
     for name, fresh in current.items():
-        if not fresh.get("state_set_parity_with_legacy", True):
-            failures.append(f"workload {name!r} lost state-set parity with the legacy explorer")
-        if fresh.get("states_match_manifest") is False:
+        for check, passed in fresh.get("checks", {}).items():
+            if not passed:
+                failures.append(f"workload {name!r} failed its {check} check")
+        fraction = fresh.get("hydration_fraction_restored")
+        if fraction is not None and fraction >= ATTACH_HYDRATION_CEILING:
             failures.append(
-                f"workload {name!r} no longer matches the campaign-corpus "
-                f"manifest's state/transition counts (generator or engine drift)"
+                f"workload {name!r} hydrated {fraction:.1%} of the shape table; a "
+                f"budget-bounded attach must stay below {ATTACH_HYDRATION_CEILING:.0%}"
             )
-        if not fresh.get("serial_parallel_parity", True):
-            failures.append(f"workload {name!r} broke serial-vs-parallel bit-identity")
-        if not fresh.get("attach_budget_parity", True):
-            failures.append(
-                f"workload {name!r} broke budget-bounded-vs-unbounded bit-identity"
-            )
-        if not fresh.get("attach_parallel_parity", True):
-            failures.append(
-                f"workload {name!r} broke budget-bounded parallel bit-identity"
-            )
-        # telemetry must be free when disabled, honest when enabled: the
-        # traced runs gate on bit-identity, the overhead fraction on the
-        # ceiling, and the merged trace must actually contain worker spans
-        if fresh.get("telemetry_parity") is False:
-            failures.append(
-                f"workload {name!r} broke traced-vs-untraced bit-identity"
-            )
-        if fresh.get("traced_parallel_parity") is False:
-            failures.append(
-                f"workload {name!r} broke traced parallel bit-identity"
-            )
-        if fresh.get("trace_has_worker_spans") is False:
-            failures.append(
-                f"workload {name!r} produced a merged trace without any "
-                f"per-worker spans (worker telemetry sections lost)"
-            )
-        overhead = fresh.get("telemetry_overhead_fraction")
+        budget = fresh.get("resident_budget")
+        for field in ("states_resident", "reps_resident"):
+            value = fresh.get(field)
+            if budget and value is not None and value > budget:
+                failures.append(
+                    f"workload {name!r} finished with {field}={value}, above its "
+                    f"resident budget of {budget}"
+                )
+        overhead = fresh.get("telemetry_overhead_q1")
         if overhead is not None and overhead > TELEMETRY_OVERHEAD_CEILING:
             failures.append(
-                f"workload {name!r} pays {overhead:.1%} states/sec for enabled "
-                f"telemetry; the ceiling is {TELEMETRY_OVERHEAD_CEILING:.0%}"
+                f"workload {name!r} pays {overhead:.1%} (lower quartile of the pairs) "
+                f"for enabled telemetry; the ceiling is {TELEMETRY_OVERHEAD_CEILING:.0%}"
             )
-        if fresh.get("kind") == "bounded-attach":
-            fraction = fresh.get("hydration_fraction_restored")
-            if fraction is not None and fraction >= ATTACH_HYDRATION_CEILING:
-                failures.append(
-                    f"workload {name!r} hydrated {fraction:.1%} of the shape table; "
-                    f"a budget-bounded attach must stay below "
-                    f"{ATTACH_HYDRATION_CEILING:.0%}"
-                )
-            budget = fresh.get("resident_budget")
-            for field in ("states_resident", "reps_resident"):
-                value = fresh.get(field)
-                if budget and value is not None and value > budget:
-                    failures.append(
-                        f"workload {name!r} finished with {field}={value}, above "
-                        f"its resident budget of {budget}"
-                    )
-        # the pod server is a transport, never a semantics change: an HTTP
-        # round trip must answer exactly what the library answers, and two
-        # jobs whose budgets exceed capacity must never be resident together
-        if fresh.get("service_parity") is False:
+        speedup = fresh.get("cache_warm_speedup")
+        if speedup is not None and speedup < CACHE_SPEEDUP_FLOOR:
             failures.append(
-                f"workload {name!r} broke HTTP-vs-library result parity"
+                f"workload {name!r} answered a warm cache hit only {speedup:.1f}x "
+                f"faster than the cold run; the floor is {CACHE_SPEEDUP_FLOOR:.0f}x"
             )
-        if fresh.get("admission_serialized") is False:
-            failures.append(
-                f"workload {name!r} admitted two over-capacity jobs concurrently"
-            )
-        # the result cache is a pure observer with teeth: a warm hit must
-        # return the cold bytes, and must actually be a cache-speed answer
-        if fresh.get("cache_payload_identical") is False:
-            failures.append(
-                f"workload {name!r} served a warm cached result that differs "
-                f"from the cold run's bytes"
-            )
-        cache_speedup = fresh.get("cache_warm_speedup")
-        if cache_speedup is not None and cache_speedup < CACHE_SPEEDUP_FLOOR:
-            failures.append(
-                f"workload {name!r} answered a warm cache hit only "
-                f"{cache_speedup:.1f}x faster than the cold run; the gate "
-                f"requires >={CACHE_SPEEDUP_FLOOR:.0f}x"
-            )
-        wire_bpc = fresh.get("wire_bytes_per_candidate")
-        legacy_bpc = fresh.get("legacy_wire_bytes_per_candidate")
-        if wire_bpc and legacy_bpc:
-            ceiling = (1.0 - WIRE_REDUCTION_FLOOR) * legacy_bpc
-            if wire_bpc > ceiling:
-                failures.append(
-                    f"workload {name!r} ships {wire_bpc} wire bytes/candidate; the "
-                    f"PR 3 encoding shipped {legacy_bpc} and the gate requires a "
-                    f">={WIRE_REDUCTION_FLOOR:.0%} reduction (ceiling {ceiling:.1f})"
-                )
-    for workload in baseline.get("engine", {}).get("workloads", []):
-        name = workload["workload"]
+
+    gate_speed = same_host(report, baseline)
+    measured_kinds = {row.get("kind") for row in current.values()}
+    for old in baseline.get("engine", {}).get("workloads", []):
+        name = old["workload"]
         fresh = current.get(name)
         if fresh is None:
-            # parallel rows vary with --workers, attach rows with
-            # --attach-states/--attach-budget; measuring a different
-            # configuration than the baseline is not a regression
-            if workload.get("kind") not in (
-                "bounded-parallel",
-                "bounded-attach",
-                # corpus rows come and go with promotions; the committed
-                # manifest (not the bench baseline) is their source of truth
-                "campaign-corpus",
-            ):
+            if old.get("kind") not in measured_kinds:
                 failures.append(f"workload {name!r} present in baseline but not measured")
             continue
-        old_sps = workload.get("states_per_second")
+        old_evals = old.get("formula_evaluations")
+        new_evals = fresh.get("formula_evaluations")
+        if old_evals and new_evals and new_evals > old_evals * (1.0 + threshold):
+            failures.append(
+                f"workload {name!r} now needs {new_evals} formula evaluations vs "
+                f"baseline {old_evals} (allowed ceiling {old_evals * (1.0 + threshold):.1f})"
+            )
+        if not gate_speed or fresh.get("kind") == "campaign-corpus":
+            continue
+        old_sps = old.get("states_per_second")
         new_sps = fresh.get("states_per_second")
-        if fresh.get("kind") == "campaign-corpus":
-            # corpus replays finish in milliseconds, so their states/sec is
-            # timer noise; they gate on the deterministic signals instead
-            # (states_match_manifest, legacy parity, formula evaluations) and
-            # their perf distributions live in the campaign store
-            old_sps = new_sps = None
         if old_sps and new_sps and new_sps < old_sps * (1.0 - threshold):
             failures.append(
                 f"workload {name!r} regressed: {new_sps} states/s vs baseline "
                 f"{old_sps} (allowed floor {old_sps * (1.0 - threshold):.1f})"
-            )
-        old_decode = workload.get("wire_decode_seconds")
-        new_decode = fresh.get("wire_decode_seconds")
-        if old_decode and new_decode and new_decode > old_decode * (1.0 + threshold):
-            failures.append(
-                f"workload {name!r} now spends {new_decode}s decoding wire "
-                f"frames vs baseline {old_decode}s (allowed ceiling "
-                f"{old_decode * (1.0 + threshold):.3f}s)"
-            )
-        old_evals = workload.get("formula_evaluations")
-        new_evals = fresh.get("formula_evaluations")
-        if old_evals and new_evals and new_evals > old_evals * (1.0 + threshold):
-            failures.append(
-                f"workload {name!r} now needs {new_evals} formula evaluations "
-                f"vs baseline {old_evals} (allowed ceiling "
-                f"{old_evals * (1.0 + threshold):.1f})"
-            )
-        # wire volume drift vs the baseline (deterministic, like the formula
-        # counter); baselines without the field — pre-PR-4 — are skipped
-        old_wire = workload.get("wire_bytes_per_candidate")
-        new_wire = fresh.get("wire_bytes_per_candidate")
-        if old_wire and new_wire and new_wire > old_wire * (1.0 + threshold):
-            failures.append(
-                f"workload {name!r} now ships {new_wire} wire bytes/candidate "
-                f"vs baseline {old_wire} (allowed ceiling "
-                f"{old_wire * (1.0 + threshold):.1f})"
             )
     return failures
 
@@ -1136,15 +641,7 @@ def run_pytest_benchmarks(keyword: str | None) -> dict:
     for module in modules:
         with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as handle:
             json_path = Path(handle.name)
-        command = [
-            sys.executable,
-            "-m",
-            "pytest",
-            str(module),
-            "-q",
-            "--benchmark-json",
-            str(json_path),
-        ]
+        command = [sys.executable, "-m", "pytest", str(module), "-q", "--benchmark-json", str(json_path)]
         if keyword:
             command.extend(["-k", keyword])
         env = dict(os.environ)
@@ -1189,41 +686,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="skip the pytest-benchmark sweep; only collect engine metrics",
+        help="skip the pytest-benchmark sweep; only measure the engine rows",
     )
     parser.add_argument("-k", dest="keyword", default=None, help="pytest -k filter for the sweep")
-    parser.add_argument(
-        "--frontier",
-        default="bfs",
-        choices=("bfs", "dfs", "guided"),
-        help="frontier strategy for the engine metrics (default: bfs)",
-    )
-    parser.add_argument(
-        "--workers",
-        default="2,4",
-        metavar="N[,M...]",
-        help="comma-separated worker counts for the parallel workloads "
-        "(default: 2,4); each count measures the largest bounded family on "
-        "the ParallelExplorationEngine and checks bit-identity with serial. "
-        "Pass an empty value (--workers '') to skip the parallel workloads",
-    )
-    parser.add_argument(
-        "--attach-states",
-        type=int,
-        default=None,
-        metavar="N",
-        help="size of the prebuilt store for the bounded-residency attach "
-        "workload (default: 100000, or 20000 under --smoke so CI stays "
-        "fast; 0 skips the workload)",
-    )
-    parser.add_argument(
-        "--attach-budget",
-        type=int,
-        default=1024,
-        metavar="N",
-        help="resident budget for the bounded-residency attach workload "
-        "(default: 1024)",
-    )
     parser.add_argument(
         "-o",
         "--output",
@@ -1233,14 +698,15 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="compare against the committed baseline and exit non-zero on a "
-        "states/sec regression beyond --threshold or a parity break",
+        help="compare against the baseline and exit non-zero on a failed "
+        "check, or on a states/sec regression beyond --threshold against a "
+        "baseline from this host",
     )
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="CI mode: engine metrics only (implies --quick) plus the "
-        "regression check (implies --check)",
+        help="CI mode: engine rows only (implies --quick) on a 20k-state "
+        "attach store, plus the regression check (implies --check)",
     )
     parser.add_argument(
         "--baseline",
@@ -1255,26 +721,16 @@ def main(argv=None) -> int:
         "(default: 0.25, i.e. >25%% slower fails)",
     )
     parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="profile the engine-metrics run under cProfile: write "
-        "run_all.pstats next to the output JSON and print the top 20 "
-        "functions by cumulative time to stderr",
-    )
-    parser.add_argument(
         "--trace",
         default=None,
         metavar="PATH",
-        help="write the telemetry workload's merged coordinator+worker "
-        "Chrome trace-event file to PATH (Perfetto-loadable; CI uploads it "
-        "next to the bench diff)",
+        help="write the telemetry row's traced exploration as a Chrome "
+        "trace-event file to PATH (Perfetto-loadable)",
     )
     args = parser.parse_args(argv)
     if args.smoke:
         args.quick = True
         args.check = True
-    if args.attach_states is None:
-        args.attach_states = 20_000 if args.smoke else 100_000
 
     sys.path.insert(0, str(REPO_ROOT / "src"))
     # read the baseline up front: the default output path overwrites it
@@ -1287,34 +743,16 @@ def main(argv=None) -> int:
             print(f"[run_all] cannot parse baseline {baseline_path}: {exc}", file=sys.stderr)
             return 1
 
-    try:
-        worker_counts = sorted({int(count) for count in args.workers.split(",") if count})
-    except ValueError:
-        print(f"[run_all] --workers expects comma-separated ints, got {args.workers!r}", file=sys.stderr)
-        return 2
-    if any(count < 2 for count in worker_counts):
-        print("[run_all] --workers counts must be >= 2", file=sys.stderr)
-        return 2
-
-    from repro.obs import maybe_profiled
-
-    profile_path = (
-        str(Path(args.output).with_name("run_all.pstats")) if args.profile else None
-    )
-    with maybe_profiled(profile_path):
-        engine_metrics = measure_engine(
-            args.frontier,
-            worker_counts,
-            attach_states=args.attach_states,
-            attach_budget=args.attach_budget,
-            trace_path=args.trace,
-        )
-
     report = {
-        "schema": "bench-engine/9",
+        "schema": "bench-engine/10",
         "generated_by": "benchmarks/run_all.py",
         "quick": args.quick,
-        "engine": engine_metrics,
+        "host": host_block(),
+        "engine": {
+            "workloads": measure_engine(
+                20_000 if args.smoke else 100_000, args.trace
+            )
+        },
     }
     if not args.quick:
         report["pytest_benchmarks"] = run_pytest_benchmarks(args.keyword)
@@ -1322,113 +760,25 @@ def main(argv=None) -> int:
     output = Path(args.output)
     output.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"[run_all] wrote {output}")
-    for workload in report["engine"]["workloads"]:
-        if workload.get("kind") == "bounded-parallel":
-            print(
-                "[run_all]   {workload}: {states} states at {sps} states/s "
-                "({speedup}x vs serial {serial_sps} states/s on {cpus} CPUs), "
-                "parity={parity}".format(
-                    workload=workload["workload"],
-                    states=workload["states"],
-                    sps=workload["parallel_states_per_second"],
-                    speedup=workload["speedup_vs_serial"],
-                    serial_sps=workload["serial_states_per_second"],
-                    cpus=workload["cpu_count"],
-                    parity=workload["serial_parallel_parity"],
-                )
-            )
-            print(
-                "[run_all]     wire: {bpc} B/candidate vs {legacy} B on the "
-                "PR 3 encoding, shape-dedup hit rate {dedup:.1%}, "
-                "{total} B received".format(
-                    bpc=workload["wire_bytes_per_candidate"],
-                    legacy=workload["legacy_wire_bytes_per_candidate"],
-                    dedup=workload["wire_dedup_hit_rate"],
-                    total=workload["wire_bytes_received"],
-                )
-            )
-            continue
-        if workload.get("kind") == "bounded-attach":
-            print(
-                "[run_all]   {workload}: touched {states} of {rows} stored "
-                "states at {sps} states/s; hydrated {fraction:.1%} of the "
-                "table, {resident} shapes / {reps} reps resident "
-                "(budget {budget}), parity={parity}/{par_parity}, "
-                "peak RSS {rss} KB".format(
-                    workload=workload["workload"],
-                    states=workload["states"],
-                    rows=workload["table_rows"],
-                    sps=workload["states_per_second"],
-                    fraction=workload["hydration_fraction_restored"],
-                    resident=workload["states_resident"],
-                    reps=workload["reps_resident"],
-                    budget=workload["resident_budget"],
-                    parity=workload["attach_budget_parity"],
-                    par_parity=workload["attach_parallel_parity"],
-                    rss=workload["peak_rss_kb"],
-                )
-            )
-            continue
-        if workload.get("kind") == "telemetry":
-            print(
-                "[run_all]   {workload}: overhead {overhead:.1%} over "
-                "{rounds} round(s) (enabled {sps} vs disabled {dsps} "
-                "states/s), traced parity={parity}/{par_parity}, "
-                "{events} trace events from {procs} process(es)".format(
-                    workload=workload["workload"],
-                    overhead=workload["telemetry_overhead_fraction"] or 0.0,
-                    rounds=workload["telemetry_overhead_rounds"],
-                    sps=workload["states_per_second"],
-                    dsps=workload["disabled_states_per_second"],
-                    parity=workload["telemetry_parity"],
-                    par_parity=workload["traced_parallel_parity"],
-                    events=workload["trace_events"],
-                    procs=len(workload["trace_processes"]),
-                )
-            )
-            continue
-        if workload.get("kind") == "service":
-            print(
-                "[run_all]   {workload}: {jobs} jobs in {secs}s "
-                "({jps} jobs/s, {slices} slice(s)), parity={parity}, "
-                "admission serialized={serialized}".format(
-                    workload=workload["workload"],
-                    jobs=workload["jobs"],
-                    secs=workload["explore_seconds"],
-                    jps=workload["jobs_per_second"],
-                    slices=workload["job_slices"],
-                    parity=workload["service_parity"],
-                    serialized=workload["admission_serialized"],
-                )
-            )
-            continue
-        if workload.get("kind") == "result-cache":
-            print(
-                "[run_all]   {workload}: cold {cold}s, warm hit {warm}s "
-                "({speedup}x, {hits} hit(s)), payload identical={identical}".format(
-                    workload=workload["workload"],
-                    cold=workload["explore_seconds"],
-                    warm=workload["warm_hit_seconds"],
-                    speedup=workload["cache_warm_speedup"],
-                    hits=workload["cache_result_hits"],
-                    identical=workload["cache_payload_identical"],
-                )
-            )
-            continue
+    for row in report["engine"]["workloads"]:
+        seconds = row["seconds"]
+        checks = " ".join(f"{name}={passed}" for name, passed in row["checks"].items())
         print(
-            "[run_all]   {workload}: {states} states at {sps} states/s, "
-            "guard-cache hit rate {rate:.1%}".format(
-                workload=workload["workload"],
-                states=workload["states"],
-                sps=workload["states_per_second"],
-                rate=workload["guard_cache_hit_rate"],
-            )
+            f"[run_all]   {row['workload']}: {row['states']} states, "
+            f"{row['states_per_second']} states/s (min {seconds['min']}s, median "
+            f"{seconds['median']}s, q1-q3 {seconds['q1']}-{seconds['q3']}s), peak RSS "
+            f"{row['peak_rss_kb']} KB, {checks}"
         )
 
     if args.check:
         if baseline is None:
             print(f"[run_all] --check: no baseline at {baseline_path}; nothing to compare")
             return 0
+        if not same_host(report, baseline):
+            print(
+                f"[run_all] --check: baseline host {baseline.get('host')} is not "
+                f"this host {report['host']}; states/sec is not gated"
+            )
         failures = check_regressions(report, baseline, args.threshold)
         if failures:
             for failure in failures:

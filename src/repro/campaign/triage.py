@@ -12,7 +12,8 @@ golden-report test can pin the stable remainder byte-for-byte.
 per family — largest explored state count, ties broken by transitions then
 by *lowest* seed — is regenerated from its spec and committed into
 ``benchmarks/campaign_corpus/`` with a manifest, where
-``benchmarks/run_all.py`` picks it up as a standing workload.  A campaign
+``benchmarks/run_all.py`` replays it as a standing row, gated on legacy
+parity and on the manifest's state/transition counts.  A campaign
 is thus a regression-miner: what it finds hard today, the bench suite
 guards tomorrow.
 """

@@ -43,8 +43,8 @@ carries a per-batch shape table — each distinct successor root shape once,
 candidates referencing it by index — and no representative instances at
 all.  Per-wave answer bytes, the shape-dedup hit rate and decode time are
 tracked and surface in ``stats["engine"]`` as ``wire_*`` counters;
-``benchmarks/run_all.py`` gates the bytes-per-candidate reduction against
-the PR 3 encoding.
+``tests/engine/test_parallel.py`` requires bytes per candidate at least 40%
+below the PR 3 encoding.
 
 Guard values flow back inside each answer: the coordinator merges the
 returned entries into its own :class:`~repro.engine.guards.GuardCache`

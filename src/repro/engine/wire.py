@@ -253,8 +253,8 @@ def pr3_encoding_cost(engine) -> tuple[int, int]:
     the workers answer with, so measuring the encoding there is exact — and
     conservative, since the actual pickled tuples carried extra overhead.
 
-    This is the single definition of the ≥40% reduction gate's denominator,
-    shared by ``benchmarks/run_all.py`` and the wire differential tests.
+    This is the single definition of the denominator of the ≥40% reduction
+    that ``tests/engine/test_parallel.py`` requires.
 
     Returns:
         ``(total bytes, candidate count)`` over every memoized expansion of

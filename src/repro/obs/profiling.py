@@ -1,10 +1,8 @@
-"""Shared cProfile plumbing for the ``--profile`` flag family.
+"""cProfile plumbing for the CLI's ``--profile`` flag.
 
-One context manager used by both the CLI commands and
-``benchmarks/run_all.py``: profile the enclosed block when given a
-destination path, dump the pstats file there, and print the top entries
-by cumulative time to stderr — exactly the behaviour the ad-hoc hooks
-had before they were folded into the telemetry layer.
+One context manager: profile the enclosed block when given a destination
+path, dump the pstats file there, and print the top entries by cumulative
+time to stderr.
 """
 
 from __future__ import annotations

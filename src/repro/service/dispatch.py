@@ -1,11 +1,13 @@
 """``run_analysis``: the one dispatcher behind every analysis entry point.
 
-The library dispatchers (``decide_completability``, ``decide_semisoundness``,
-``always_holds``, ``can_reach``, ``extract_workflow``), the CLI and the pod
-server all funnel a :class:`~repro.service.AnalysisRequest` through
-:func:`run_analysis`, which resolves the form reference, opens the optional
-persistent store, and dispatches on the request's ``kind``.  The parity
-tests pin this path bit-identical to the classic keyword surfaces.
+The ``request=`` shims of the library dispatchers (``decide_completability``,
+``decide_semisoundness``, ``always_holds``, ``can_reach``,
+``extract_workflow``), the pod server and the campaign oracles funnel a
+:class:`~repro.service.AnalysisRequest` through :func:`run_analysis`, which
+resolves the form reference, opens the optional persistent store, and
+dispatches on the request's ``kind``.  The CLI's ``analyze``, ``invariant``
+and ``workflow`` commands call those dispatchers with keywords instead.  The
+parity tests pin this path bit-identical to the keyword surfaces.
 
 The result travels as the versioned ``analysis-result/1`` wire shape
 (:func:`result_to_wire`); :func:`run_analysis_wire` is the full wire-to-wire

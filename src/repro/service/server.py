@@ -34,6 +34,7 @@ Chrome trace on shutdown.
 from __future__ import annotations
 
 import json
+import re
 import threading
 import time
 from contextlib import suppress
@@ -506,13 +507,23 @@ class PodServer:
             self.telemetry.merge_remote(recorder.export_payload(drain=True))
 
 
+#: The names of the pod's own job stores: ``job-<digits>``, one per job id.
+_JOB_STORE_NAME = re.compile(r"job-[0-9]+")
+
+
 def _check_store_name(name: str) -> None:
     """Service store references are bare names under ``--store-dir``, never
-    paths — a submitted job must not escape the pod's state directory."""
+    paths — a submitted job must not escape the pod's state directory — and
+    never a pod job id, whose store the pod deletes when that job ends."""
     if "/" in name or "\\" in name or name in (".", "..") or name.startswith("."):
         raise RequestError(
             f"store {name!r} is not a plain store name; the service resolves "
             "stores under its own --store-dir"
+        )
+    if _JOB_STORE_NAME.fullmatch(name):
+        raise RequestError(
+            f"store {name!r} is named like a pod job id; the pod owns and "
+            "deletes the stores of its jobs"
         )
 
 

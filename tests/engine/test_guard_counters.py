@@ -7,7 +7,9 @@ exactly as before.  An equal digest of the cached entries means every key,
 and the value memoized under it, is unchanged: the guard cache shares
 evaluations by these keys, so a key that changes shape could merge or split
 entries without moving a count.  The forms are those of the benchmark's
-request pools, at fixed seeds.
+request pools, at fixed seeds, plus the positive chain and the deadlock
+reduction, whose depth-1 semi-soundness graphs exercise the
+support-projected keys on a positive and on a negated fragment.
 """
 
 import hashlib
@@ -19,6 +21,8 @@ from repro.analysis.semisoundness import decide_semisoundness
 from repro.analysis.statespace import ExplorationLimits
 from repro.benchgen.families import (
     counter_machine_family,
+    deadlock_family,
+    positive_chain_family,
     positive_deep_family,
     qsat_semisoundness_family,
     sat_completability_family,
@@ -42,6 +46,8 @@ CASES = {
         decide_semisoundness,
         {},
     ),
+    "chain": (lambda: positive_chain_family(24), decide_semisoundness, {}),
+    "deadlock": (lambda: deadlock_family(3, seed=3)[0], decide_semisoundness, {}),
     "deep": (
         lambda: positive_deep_family(3, width=2),
         decide_completability,
@@ -61,6 +67,8 @@ CASES = {
 GOLDEN = {
     "sat": (True, 3056, 272, 256, 256, 2048, "e2f5e23fd56647ab"),
     "sat-semisound": (False, 4020, 273, 243, 243, 810, "5ec045cee41b9cb8"),
+    "chain": (True, 829, 96, 25, 25, 24, "eb4f6c00252ea257"),
+    "deadlock": (True, 322, 90, 18, 18, 34, "1cdd7476e9c6f730"),
     "deep": (True, 2670, 1367, 300, 300, 1555, "7a7e78f4dfba9de3"),
     "two-counter": (True, 192, 4574, 71, 71, 97, "ae68957162ddb57b"),
     "qsat": (True, 475, 3010, 300, 300, 1775, "ddc44fde47128027"),

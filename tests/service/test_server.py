@@ -120,7 +120,7 @@ class TestRouting:
         assert body["error"]["code"] == "bad-request"
 
     def test_store_name_may_not_escape_the_pod(self, idle_pod):
-        for name in ("../escape", "a/b", ".hidden", ".."):
+        for name in ("../escape", "a/b", ".hidden", "..", "job-000002"):
             payload = submit_payload(store=name)
             status, body = idle_pod.handle("POST", "/v1/jobs", payload)
             assert status == 400, name
