@@ -2,9 +2,10 @@
 
 CI runs this after the benchmark smoke to publish, next to the raw report, a
 markdown artifact showing how every row moved against the committed
-baseline: states/sec, formula evaluations, the bounded-attach residency
-fields, the telemetry overhead, the store-vs-memory and warm-cache ratios,
-and the sizes of the campaign-mined corpus rows.  Both reports' ``host``
+baseline: states/sec (raw and at the reference host speed), formula
+evaluations, the bounded-attach residency fields, the telemetry overhead,
+the store-vs-memory and warm-cache ratios, and the sizes of the
+campaign-mined corpus rows.  Both reports' ``host``
 blocks head the diff, since throughput compares only between equal hosts.
 Fields missing from either side render as ``—`` instead of failing.
 
@@ -23,6 +24,7 @@ from pathlib import Path
 #: ``(field, header, is_percentage)`` columns of the per-workload table.
 _COLUMNS = (
     ("states_per_second", "states/s", False),
+    ("reference_states_per_second", "states/s at reference speed", False),
     ("formula_evaluations", "formula evals", False),
     ("hydration_fraction_restored", "hydrated", True),
     ("states_resident", "resident shapes", False),

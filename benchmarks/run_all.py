@@ -18,8 +18,12 @@ Each row's function says what it checks.  Each row runs in a fresh
 ``spawn`` process, so its ``peak_rss_kb`` is its own.  Each timed leg runs
 :data:`REPEATS` times, interleaved with the row's other legs; the row
 reports the min, quartiles and median of its seconds, and states/sec from
-the fastest run.  The report's ``host`` block records where
-it was measured.
+the fastest run.  A fixed interpreter pass is timed before and after every
+timed run (:func:`host_speed`, as perfbench's ``SpeedGauge`` does), and each
+run's seconds are also scaled to the reference speed of that pass: the
+row's ``host_speed`` lists the readings, and its
+``reference_states_per_second`` is states over the median scaled seconds.
+The report's ``host`` block records where it was measured.
 
 Without ``--quick`` the per-test timings of every ``bench_*.py`` module are
 also collected through ``pytest-benchmark``'s JSON output (minutes).
@@ -36,9 +40,12 @@ Regression gate: ``--check`` compares the fresh report against the committed
 ``BENCH_engine.json`` (override with ``--baseline``).  It always fails on a
 broken deterministic verdict, a limit the constants below set, a campaign
 row that needs more formula evaluations than ``--threshold`` allows, or a
-baseline row the run no longer measures.  States/sec drift beyond ``--threshold`` (default
-25%) is gated only against a baseline whose ``host`` block equals this one:
-throughput measured on another machine says nothing about this change.
+baseline row the run no longer measures.  A drop of
+``reference_states_per_second`` beyond ``--threshold`` (default 25%) is
+gated only against a baseline whose ``host`` block equals this one:
+throughput measured on another machine says nothing about this change, and
+scaling by the host's speed cancels the drift of a shared host between the
+baseline and the run.
 ``--smoke`` scales the attach store down from 100k to 20k states.
 """
 
@@ -56,6 +63,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 BENCH_DIR = Path(__file__).resolve().parent
 REPO_ROOT = BENCH_DIR.parent
@@ -80,17 +88,67 @@ CACHE_SPEEDUP_FLOOR = 10.0
 #: of the per-pair overheads: a gate that fails then has most pairs above it.
 TELEMETRY_OVERHEAD_CEILING = 0.05
 
+#: Duration of one calibration pass at the reference speed (perfbench's).
+REFERENCE_PASS_SECONDS = 200e-6
+
+#: Timed calibration passes per reading; the reading is their median.
+CALIBRATION_PASSES = 3
+
 
 # --------------------------------------------------------------------------- #
 # measurement helpers
 # --------------------------------------------------------------------------- #
 
 
+def _calibration_pass() -> int:
+    """Fixed interpreter work shaped like the engine's: tuple keys, dict
+    probes and inserts, list growth (perfbench's pass)."""
+    table: dict = {}
+    sizes = []
+    for i in range(600):
+        key = ("n", i & 63, (i >> 6,))
+        node = table.get(key)
+        if node is None:
+            node = table[key] = [i]
+        node.append(i)
+        sizes.append(len(node))
+    return sum(sizes)
+
+
+def host_speed() -> float:
+    """The host's current interpreter speed as a multiple of the reference
+    speed: above 1 is faster than the reference."""
+    _calibration_pass()  # warm: the timed passes must not pay first-touch costs
+    passes = []
+    for _ in range(CALIBRATION_PASSES):
+        started = time.perf_counter()
+        _calibration_pass()
+        passes.append(time.perf_counter() - started)
+    return REFERENCE_PASS_SECONDS / statistics.median(passes)
+
+
+class Run(NamedTuple):
+    """One timed run of a leg."""
+
+    seconds: float
+    #: host speed readings just before and just after the run
+    readings: tuple
+    #: what the leg's *keep* made of its result
+    result: object
+
+    @property
+    def reference_seconds(self) -> float:
+        """The run's seconds at the reference speed, taking the mean pass
+        time of the two readings as the host's speed over the run."""
+        before, after = self.readings
+        return self.seconds * 2 / (1 / before + 1 / after)
+
+
 def interleaved(legs: dict, keep=lambda result: result) -> dict:
     """Run each zero-argument leg of *legs* :data:`REPEATS` times,
     round-robin, reversing the order on odd rounds.  Returns
-    ``{leg: [(seconds, keep(result))]}`` in run order, so the i-th entries of
-    two legs form one pair.
+    ``{leg: [Run]}`` in run order, so the i-th entries of two legs form one
+    pair.  The host's speed is read before and after every timed run.
 
     Each leg first runs once untimed, so no timed run pays for lazy set-up.
     *keep* reduces a result to what the row needs, outside the timed
@@ -106,10 +164,11 @@ def interleaved(legs: dict, keep=lambda result: result) -> dict:
     for round_index in range(REPEATS):
         for name in order if round_index % 2 == 0 else reversed(order):
             gc.collect()
+            before = host_speed()
             started = time.perf_counter()
             result = legs[name]()
             elapsed = time.perf_counter() - started
-            runs[name].append((elapsed, keep(result)))
+            runs[name].append(Run(elapsed, (before, host_speed()), keep(result)))
             del result
     return runs
 
@@ -127,16 +186,21 @@ def spread(samples) -> dict:
 
 def leg_seconds(runs: list) -> dict:
     """The spread of one leg's run times."""
-    return spread([elapsed for elapsed, _ in runs])
+    return spread([run.seconds for run in runs])
 
 
 def timed_fields(states: int, runs: list) -> dict:
-    """A row's ``seconds`` spread and its states/sec in its fastest run:
-    other load on the host only ever slows a run down."""
+    """A row's ``seconds`` spread and its states/sec in its fastest run
+    (other load on the host only ever slows a run down), the same at the
+    reference speed over the median scaled run, and the speed readings."""
     seconds = leg_seconds(runs)
+    reference = spread([run.reference_seconds for run in runs])
     return {
         "seconds": seconds,
         "states_per_second": round(states / seconds["min"], 1),
+        "reference_seconds": reference,
+        "reference_states_per_second": round(states / reference["median"], 1),
+        "host_speed": [[round(reading, 3) for reading in run.readings] for run in runs],
     }
 
 
@@ -165,7 +229,7 @@ def graph_digest(graph) -> tuple:
 def agree(runs: dict) -> bool:
     """Whether every timed run of every leg kept the same graph digest, as
     the first item of its kept result."""
-    return len({result[0] for leg in runs.values() for _, result in leg}) == 1
+    return len({run.result[0] for leg in runs.values() for run in leg}) == 1
 
 
 def host_block() -> dict:
@@ -261,8 +325,8 @@ def measure_store_backed() -> dict:
             },
             keep=lambda result: (graph_digest(result[0]), result[1]),
         )
-    states = runs["memory"][0][1][0][0]
-    store_stats = runs["store"][-1][1][1]
+    states = runs["memory"][0].result[0][0]
+    store_stats = runs["store"][-1].result[1]
     row = {
         "workload": "A+,phi+,k positive deep (d=4) [sqlite store]",
         "kind": "bounded-store",
@@ -272,7 +336,7 @@ def measure_store_backed() -> dict:
         "memory_seconds": leg_seconds(runs["memory"]),
         "store_rows_written": store_stats["store_rows_written"],
         "store_flushes": store_stats["store_flushes"],
-        "reattach_store_rows_read": runs["reattach"][-1][1][1]["store_rows_read"],
+        "reattach_store_rows_read": runs["reattach"][-1].result[1]["store_rows_read"],
         "checks": {"store_matches_memory": agree(runs)},
     }
     row["store_vs_memory"] = round(
@@ -341,7 +405,7 @@ def measure_residency_attach(attach_states: int) -> dict:
             keep=lambda result: (graph_digest(result[0]), *result[1:]),
         )
 
-    (states, _), stats, metrics = runs["bounded"][-1][1]
+    (states, _), stats, metrics = runs["bounded"][-1].result
     restored = stats["intern_states_restored_distinct"]
     return {
         "workload": (
@@ -398,15 +462,15 @@ def measure_telemetry(trace_path: "str | None" = None) -> dict:
     )
     overheads = spread(
         [
-            enabled / disabled - 1.0
-            for (disabled, _), (enabled, _) in zip(runs["disabled"], runs["enabled"])
+            enabled.seconds / disabled.seconds - 1.0
+            for disabled, enabled in zip(runs["disabled"], runs["enabled"])
         ]
     )
-    telemetry = runs["enabled"][-1][1][1]
+    telemetry = runs["enabled"][-1].result[1]
     if trace_path:
         count = telemetry.write_chrome_trace(trace_path)
         print(f"[run_all] wrote {count} trace event(s) to {trace_path}", flush=True)
-    states = runs["disabled"][0][1][0][0]
+    states = runs["disabled"][0].result[0][0]
     return {
         "workload": "A+,phi+,k positive deep (d=4) [telemetry]",
         "kind": "telemetry",
@@ -461,8 +525,8 @@ def measure_cache() -> dict:
         hits = kv.stats()["namespaces"]["results"]["hits"]
         kv.close()
 
-    cold_body = runs["cold"][0][1]
-    identical = all(body == cold_body for _, body in runs["cold"] + runs["warm"])
+    cold_body = runs["cold"][0].result
+    identical = all(run.result == cold_body for run in runs["cold"] + runs["warm"])
     states = json.loads(cold_body)["stats"]["states_explored"]
     row = {
         "workload": "memoized result cache [leave application]",
@@ -504,7 +568,7 @@ def measure_campaign_corpus(entry: dict, max_states: int) -> dict:
         return graph, engine.stats_snapshot()
 
     runs = interleaved({"explore": explore})
-    graph, stats = runs["explore"][-1][1]
+    graph, stats = runs["explore"][-1].result
     if depth1:
         parity = graph.states == legacy_explore_depth1(form).states
     else:
@@ -565,8 +629,9 @@ def check_regressions(report: dict, baseline: dict, threshold: float) -> list[st
     the report does not measure (unless the report measures that row's kind
     under another name: an attach store of another size, a re-promoted
     corpus) and formula evaluations grown beyond *threshold*.  Against a
-    baseline from the same host only: states/sec dropped beyond *threshold*.
-    Campaign rows finish in milliseconds, so their states/sec is never gated.
+    baseline from the same host only: states/sec at the reference speed
+    (``reference_states_per_second``) dropped beyond *threshold*.  Campaign
+    rows finish in milliseconds, so their states/sec is never gated.
     """
     failures: list[str] = []
     current = {row["workload"]: row for row in report["engine"]["workloads"]}
@@ -619,12 +684,13 @@ def check_regressions(report: dict, baseline: dict, threshold: float) -> list[st
             )
         if not gate_speed or fresh.get("kind") == "campaign-corpus":
             continue
-        old_sps = old.get("states_per_second")
-        new_sps = fresh.get("states_per_second")
+        old_sps = old.get("reference_states_per_second")
+        new_sps = fresh.get("reference_states_per_second")
         if old_sps and new_sps and new_sps < old_sps * (1.0 - threshold):
             failures.append(
-                f"workload {name!r} regressed: {new_sps} states/s vs baseline "
-                f"{old_sps} (allowed floor {old_sps * (1.0 - threshold):.1f})"
+                f"workload {name!r} regressed: {new_sps} states/s at reference "
+                f"speed vs baseline {old_sps} (allowed floor "
+                f"{old_sps * (1.0 - threshold):.1f})"
             )
     return failures
 
@@ -699,8 +765,8 @@ def main(argv=None) -> int:
         "--check",
         action="store_true",
         help="compare against the baseline and exit non-zero on a failed "
-        "check, or on a states/sec regression beyond --threshold against a "
-        "baseline from this host",
+        "check, or on a host-speed-scaled states/sec regression beyond "
+        "--threshold against a baseline from this host",
     )
     parser.add_argument(
         "--smoke",
@@ -717,8 +783,8 @@ def main(argv=None) -> int:
         "--threshold",
         type=float,
         default=0.25,
-        help="allowed fractional states/sec regression before --check fails "
-        "(default: 0.25, i.e. >25%% slower fails)",
+        help="allowed fractional regression of states/sec at reference "
+        "speed before --check fails (default: 0.25, i.e. >25%% slower fails)",
     )
     parser.add_argument(
         "--trace",
@@ -744,7 +810,7 @@ def main(argv=None) -> int:
             return 1
 
     report = {
-        "schema": "bench-engine/10",
+        "schema": "bench-engine/11",
         "generated_by": "benchmarks/run_all.py",
         "quick": args.quick,
         "host": host_block(),
@@ -766,8 +832,9 @@ def main(argv=None) -> int:
         print(
             f"[run_all]   {row['workload']}: {row['states']} states, "
             f"{row['states_per_second']} states/s (min {seconds['min']}s, median "
-            f"{seconds['median']}s, q1-q3 {seconds['q1']}-{seconds['q3']}s), peak RSS "
-            f"{row['peak_rss_kb']} KB, {checks}"
+            f"{seconds['median']}s, q1-q3 {seconds['q1']}-{seconds['q3']}s), "
+            f"{row['reference_states_per_second']} states/s at reference speed, "
+            f"peak RSS {row['peak_rss_kb']} KB, {checks}"
         )
 
     if args.check:

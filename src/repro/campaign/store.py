@@ -17,7 +17,7 @@ the other half of another would silently corrupt the distributions.
 
 The sqlite plumbing (pragmas, schema creation, the ``meta`` table) is the
 engine state store's, shared via
-:class:`~repro.engine.store.SqliteBacked`.
+:class:`~repro.engine.sqlite_base.SqliteBacked`.
 """
 
 from __future__ import annotations

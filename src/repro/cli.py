@@ -35,8 +35,8 @@ catalogue names (``leave-application``, ``tax-declaration``, …, plus the
 
 Long explorations can be persisted and resumed: ``analyze``, ``invariant``
 and ``workflow`` accept ``--store PATH`` (an sqlite state store holding
-interned shapes, canonical representatives, guard evaluations and frontier
-checkpoints) and ``--resume`` (continue an interrupted identically
+interned shapes, canonical representatives and frontier checkpoints; guard
+evaluations are recomputed, never stored) and ``--resume`` (continue an interrupted identically
 parameterised run instead of restarting).  They also accept ``--workers N``
 to expand frontier waves on N worker processes
 (:mod:`repro.engine.parallel`); the resulting graphs, verdicts and witnesses
@@ -150,8 +150,8 @@ def _add_limit_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="PATH",
         default=None,
         help="back the exploration with a persistent sqlite state store at "
-        "PATH (created on first use; interned shapes, representatives, guard "
-        "evaluations and frontier checkpoints survive the process)",
+        "PATH (created on first use; interned shapes, representatives and "
+        "frontier checkpoints survive the process)",
     )
     parser.add_argument(
         "--resident-budget",
@@ -862,10 +862,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     store_epilog = (
         "A --store PATH sqlite database persists the exploration working set "
-        "(interned shapes, canonical representatives, guard evaluations) and "
-        "frontier checkpoints.  Interrupt with Ctrl-C at any point and re-run "
-        "the same command with --resume to continue where it stopped; "
-        "'store info PATH' inspects what a store holds."
+        "(interned shapes and canonical representatives) and frontier "
+        "checkpoints; guard evaluations are recomputed on resume.  Interrupt "
+        "with Ctrl-C at any point and re-run the same command with --resume "
+        "to continue where it stopped; 'store info PATH' inspects what a "
+        "store holds."
     )
 
     analyze = subparsers.add_parser(

@@ -19,9 +19,10 @@ This package is that hot path, carved out as an explicit subsystem:
 * :mod:`repro.engine.store` — persistent state stores
   (:class:`InMemoryStore` / :class:`SqliteStore`): interned shapes, canonical
   representatives and resumable exploration checkpoints on disk (guard
-  values stay in memory), with write batching, LRU read caches (negative lookups included)
-  and a ``shape_hash``-indexed reverse lookup backing partial hydration and
-  the engine's ``resident_budget`` eviction;
+  values stay in memory), with write batching and a ``shape_hash``-indexed
+  reverse lookup backing partial hydration and the engine's
+  ``resident_budget`` eviction; every read is answered by the write buffer
+  or by sqlite;
 * :mod:`repro.engine.engine` — :class:`ExplorationEngine`, tying them
   together and producing :class:`EngineGraph` / legacy-compatible graphs;
 * :mod:`repro.engine.parallel` / :mod:`repro.engine.workers` —
@@ -48,7 +49,6 @@ from repro.engine.interning import (
 )
 from repro.engine.store import (
     InMemoryStore,
-    LRUCache,
     SqliteStore,
     StateStore,
     exploration_run_key,
@@ -79,7 +79,6 @@ __all__ = [
     "StateStore",
     "InMemoryStore",
     "SqliteStore",
-    "LRUCache",
     "open_store",
     "exploration_run_key",
     "GuardCache",

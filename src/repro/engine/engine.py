@@ -1184,8 +1184,6 @@ class ExplorationEngine:
             # returns the whole graph
             empty = self._make_frontier("bfs")
             self._save_depth1_checkpoint(run_key, initial, states, transitions, empty, stopped)
-        if self.store.persistent:
-            self.store.flush()
         return self._depth1_graph(initial, states, transitions, stopped)
 
     def _save_depth1_checkpoint(

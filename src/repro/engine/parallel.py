@@ -49,8 +49,9 @@ below the PR 3 encoding.
 Guard values flow back inside each answer: the coordinator merges the
 returned entries into its own :class:`~repro.engine.guards.GuardCache`
 (:meth:`~repro.engine.guards.GuardCache.restore`), so nothing a worker
-evaluated is evaluated again on the coordinator.  Guard values are never
-written to a store, so workers hydrate only their shard's persisted shapes.
+evaluated is evaluated again on the coordinator.  Workers never read the
+state store: a task carries each state's representative, and guard values
+are never written to a store.
 """
 
 from __future__ import annotations
@@ -161,23 +162,11 @@ class ParallelExplorationEngine(ExplorationEngine):
     # pool lifecycle
     # ------------------------------------------------------------------ #
 
-    def _store_path(self) -> Optional[str]:
-        """The on-disk store workers pre-warm their shard's shapes from."""
-        if not self.store.persistent:
-            return None
-        path = getattr(self.store, "path", None)
-        if path is None or path == ":memory:":
-            return None
-        return path
-
     def _ensure_pool(self) -> WorkerPool:
         if self._pool is None:
-            if self.store.persistent:
-                self.store.flush()  # let workers hydrate everything so far
             self._pool = WorkerPool(
                 self.guarded_form,
                 self.workers,
-                store_path=self._store_path(),
                 telemetry_enabled=self.telemetry.enabled,
             )
         return self._pool

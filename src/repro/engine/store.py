@@ -6,16 +6,18 @@ by default, which caps ``max_states`` at whatever fits in RAM and ties an
 exploration to one process.  This module puts a storage protocol underneath:
 
 * :class:`StateStore` — the backend interface.  The engine *writes through*
-  to it (every newly interned shape, and one representative row per state)
-  and *hydrates* from it on construction, so a fresh process attached to a
-  populated store resumes with the exact state ids and representatives
-  (node-id-for-node-id) of the process that wrote it.  A representative row
-  is either the full instance (an exploration's start state, or a derived
-  representative written back on eviction) or only the state's *origin* —
-  the state that first interned it and the update from there — from which
-  the engine re-derives the identical instance on first use.  Guard values
-  are not persisted: they are compiled-rule evaluations, cheaper to
-  recompute in the resuming process than to encode, write and restore.
+  to it (every newly interned shape, and one representative row per state).
+  On its first exploration the engine binds to the store's persisted id
+  range and then reads rows back one at a time as the run touches them, so
+  a fresh process attached to a populated store resumes with the exact
+  state ids and representatives (node-id-for-node-id) of the process that
+  wrote it.  A representative row is either the full instance (an
+  exploration's start state, or a derived representative written back on
+  eviction) or only the state's *origin* — the state that first interned it
+  and the update from there — from which the engine re-derives the
+  identical instance on first use.  Guard values are not persisted: they
+  are compiled-rule evaluations, cheaper to recompute in the resuming
+  process than to encode, write and restore.
 
 * :class:`InMemoryStore` — the extracted default behaviour.  Nothing is
   serialised; shapes and representatives stay solely in the engine's own
@@ -25,16 +27,17 @@ exploration to one process.  This module puts a storage protocol underneath:
   be interrupted and resumed within one process without a database.
 
 * :class:`SqliteStore` — an sqlite3-backed store.  Writes are batched
-  (``batch_size`` buffered rows per ``executemany`` flush) and reads of
-  shapes/representatives go through an :class:`LRUCache`, so the exploration
-  hot path neither serialises per row nor touches the database for recently
-  used states.  A fingerprint of the guarded form is recorded on first attach
-  and verified on every later one — a store can never silently answer for the
-  wrong form.  Shape rows are written as the interner's canonical binary
-  encoding of each root subtree id; the read path also decodes the JSON rows that earlier builds
-  wrote, so their stores still attach and resume.  The ``guards`` table such
-  stores may hold is never read, and their representative rows — a full
-  instance for every state — read like any other full row.
+  (``batch_size`` buffered rows per ``executemany`` flush), and every read
+  is answered by the write buffer or by sqlite.  The engine keeps what it
+  uses resident in its own structures, so the store is read only for rows
+  the engine never held or has evicted.  A fingerprint of the guarded form
+  is recorded on first attach and verified on every later one — a store
+  can never silently answer for the wrong form.  Shape rows are written as
+  the interner's canonical binary encoding of each root subtree id; the
+  read path also decodes the JSON rows that earlier builds wrote, so their
+  stores still attach and resume.  The ``guards`` table such stores may
+  hold is never read, and their representative rows — a full instance for
+  every state — read like any other full row.
 
 Checkpoints are keyed by a digest of the exploration parameters (start
 shape, limits, strategy, early-exit flag), so several explorations — e.g.
@@ -43,7 +46,7 @@ can each keep their own resumable frontier in one store.  Depth-1
 explorations checkpoint under keys of their own (start mask, strategy,
 early-exit flag; :func:`depth1_run_key`) when a step limit slices them.
 
-Store counters (row reads/writes, cache hits/misses, flushes) surface in
+Store counters (row reads/writes, reverse lookups, flushes) surface in
 ``AnalysisResult.stats["engine"]`` under ``store_*`` keys via
 :meth:`ExplorationEngine.stats_snapshot`.
 """
@@ -52,7 +55,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sqlite3
 import time
 from pathlib import Path
 from typing import Iterator, Optional
@@ -60,12 +62,7 @@ from typing import Iterator, Optional
 from repro.core.guarded_form import GuardedForm
 from repro.core.tree import Shape
 from repro.engine.interning import StateId
-from repro.engine.sqlite_base import (  # noqa: F401  (re-exported: old import path)
-    _BUSY_TIMEOUT_MS,
-    _MISS,
-    LRUCache,
-    SqliteBacked,
-)
+from repro.engine.sqlite_base import SqliteBacked
 from repro.exceptions import StoreError
 from repro.io.serialization import (
     ORIGIN_ROW_PREFIX,
@@ -89,9 +86,9 @@ STORE_SCHEMA_VERSION = "1"
 class StateStore:
     """Backend interface for persisting engine state.
 
-    ``persistent`` tells the engine whether write-through and hydration are
-    worthwhile; the in-memory default returns ``False`` and the engine then
-    skips every serialisation on the hot path.
+    ``persistent`` tells the engine whether write-through and store reads
+    are worthwhile; the in-memory default returns ``False`` and the engine
+    then skips every serialisation on the hot path.
     """
 
     #: Whether rows written here survive the engine (and the process).
@@ -141,16 +138,6 @@ class StateStore:
 
     def load_shapes(self) -> Iterator[tuple[StateId, Shape]]:
         """All persisted ``(state id, shape)`` rows, ordered by id."""
-        return iter(())
-
-    def load_shapes_for_shard(self, shard: int, nshards: int) -> Iterator[tuple[StateId, Shape]]:
-        """The ``(state id, shape)`` rows of one hash shard, ordered by id.
-
-        A row belongs to shard ``stable_shape_hash(shape) % nshards`` — the
-        same partitioning the parallel engine assigns frontier states to
-        workers by, so a worker can hydrate exactly its own slice.
-        """
-        del shard, nshards
         return iter(())
 
     def get_state_id(
@@ -254,15 +241,13 @@ class InMemoryStore(StateStore):
 
 
 class SqliteStore(SqliteBacked, StateStore):
-    """An sqlite3-backed :class:`StateStore` with batching and LRU reads.
+    """An sqlite3-backed :class:`StateStore` with batched writes.
 
     Args:
         path: database file (created on demand; ``":memory:"`` works too).
         batch_size: buffered rows across all tables before an automatic
             flush; checkpoint saves always flush first so the database is
             consistent at every resume point.
-        cache_size: capacity of each of the shape and representative LRU
-            read caches.
 
     Shape rows are byte for byte the interner's canonical encoding
     (:func:`~repro.io.serialization.encode_shape_binary`), so the
@@ -295,7 +280,6 @@ class SqliteStore(SqliteBacked, StateStore):
         self,
         path: "str | Path",
         batch_size: int = 512,
-        cache_size: int = 8192,
         checkpoint_every: Optional[int] = None,
     ) -> None:
         self.batch_size = max(1, batch_size)
@@ -305,13 +289,11 @@ class SqliteStore(SqliteBacked, StateStore):
         self._open_sqlite(path)
         # write buffers are keyed dicts, so reads can be served from them
         # without forcing a premature flush (INSERT OR REPLACE semantics);
-        # shapes keep (tuple or None, digest, canonical encoding) so the
-        # reverse lookup covers unflushed rows by bytes equality alone
-        self._pending_shapes: dict[int, tuple[Optional[Shape], int, bytes]] = {}
+        # shapes keep (digest, canonical encoding) so the reverse lookup
+        # covers unflushed rows by bytes equality alone
+        self._pending_shapes: dict[int, tuple[int, bytes]] = {}
         self._pending_by_hash: dict[int, list[int]] = {}
         self._pending_reps: dict[int, str] = {}
-        self.shape_cache = LRUCache(cache_size)
-        self.representative_cache = LRUCache(cache_size)
         self.rows_written = 0
         self.rows_read = 0
         self.flushes = 0
@@ -409,7 +391,7 @@ class SqliteStore(SqliteBacked, StateStore):
                 "INSERT OR REPLACE INTO shapes (id, shape, shape_hash) VALUES (?, ?, ?)",
                 [
                     (sid, encoded, digest)
-                    for sid, (_shape, digest, encoded) in self._pending_shapes.items()
+                    for sid, (digest, encoded) in self._pending_shapes.items()
                 ],
             )
             self._pending_shapes.clear()
@@ -454,35 +436,23 @@ class SqliteStore(SqliteBacked, StateStore):
             encoded = encode_shape_binary(shape)
         if digest is None:
             digest = stable_shape_hash_of_encoding(encoded)
-        self._pending_shapes[state_id] = (shape, digest, encoded)
+        self._pending_shapes[state_id] = (digest, encoded)
         self._pending_by_hash.setdefault(digest, []).append(state_id)
-        if shape is not None:
-            # a cached None means "absent from the store", so a row whose
-            # tuple was never materialised must not poison the cache
-            self.shape_cache.put(state_id, shape)
         self.rows_written += 1
         self._maybe_flush()
 
     def get_shape(self, state_id: StateId) -> Optional[Shape]:
-        """One persisted shape by id (LRU-cached, negative lookups too)."""
-        cached = self.shape_cache.get(state_id, _MISS)
-        if cached is not _MISS:
-            return cached
+        """One persisted shape by id, buffered rows included, or ``None``."""
         pending = self._pending_shapes.get(state_id)
         if pending is not None:
-            shape = pending[0] if pending[0] is not None else decode_shape_binary(pending[2])
-            self.shape_cache.put(state_id, shape)
-            return shape
+            return decode_shape_binary(pending[1])
         row = self._conn.execute(
             "SELECT shape FROM shapes WHERE id = ?", (state_id,)
         ).fetchone()
         if row is None:
-            self.shape_cache.put(state_id, None)
             return None
         self.rows_read += 1
-        shape = decode_shape_row(row[0])
-        self.shape_cache.put(state_id, shape)
-        return shape
+        return decode_shape_row(row[0])
 
     def get_state_id(
         self,
@@ -507,7 +477,7 @@ class SqliteStore(SqliteBacked, StateStore):
             digest = stable_shape_hash_of_encoding(encoded)
         for sid in self._pending_by_hash.get(digest, ()):
             pending = self._pending_shapes.get(sid)
-            if pending is not None and pending[2] == encoded:
+            if pending is not None and pending[1] == encoded:
                 return sid
         self.id_lookups += 1
         for sid, row in self._conn.execute(
@@ -517,15 +487,11 @@ class SqliteStore(SqliteBacked, StateStore):
             if isinstance(row, bytes):
                 if row != encoded:
                     continue
-                if shape is not None:
-                    self.shape_cache.put(sid, shape)
                 self.id_lookup_hits += 1
                 return sid
-            decoded = decode_shape_row(row)
             if shape is None:
                 shape = decode_shape_binary(encoded)
-            if decoded == shape:
-                self.shape_cache.put(sid, decoded)
+            if decode_shape_row(row) == shape:
                 self.id_lookup_hits += 1
                 return sid
         return None
@@ -551,40 +517,23 @@ class SqliteStore(SqliteBacked, StateStore):
             self.rows_read += 1
             yield state_id, decode_shape_row(row)
 
-    def load_shapes_for_shard(self, shard: int, nshards: int) -> Iterator[tuple[StateId, Shape]]:
-        self.flush()
-        for state_id, row in self._conn.execute(
-            "SELECT id, shape FROM shapes "
-            "WHERE shape_hash IS NOT NULL AND (shape_hash % ?) = ? ORDER BY id",
-            (nshards, shard),
-        ):
-            self.rows_read += 1
-            yield state_id, decode_shape_row(row)
-
     # -- canonical representatives ------------------------------------- #
 
     def put_representative(self, state_id: StateId, blob: str) -> None:
         self._pending_reps[state_id] = blob
-        self.representative_cache.put(state_id, blob)
         self.rows_written += 1
         self._maybe_flush()
 
     def get_representative(self, state_id: StateId) -> Optional[str]:
-        cached = self.representative_cache.get(state_id, _MISS)
-        if cached is not _MISS:
-            return cached
         pending = self._pending_reps.get(state_id)
         if pending is not None:
-            self.representative_cache.put(state_id, pending)
             return pending
         row = self._conn.execute(
             "SELECT blob FROM representatives WHERE id = ?", (state_id,)
         ).fetchone()
         if row is None:
-            self.representative_cache.put(state_id, None)
             return None
         self.rows_read += 1
-        self.representative_cache.put(state_id, row[0])
         return row[0]
 
     # -- ledger seams -------------------------------------------------- #
@@ -647,11 +596,6 @@ class SqliteStore(SqliteBacked, StateStore):
             "id_lookups": self.id_lookups,
             "id_lookup_hits": self.id_lookup_hits,
             "shape_hash_rows_migrated": self.shape_hash_rows_migrated,
-            "shape_cache_hits": self.shape_cache.hits,
-            "shape_cache_misses": self.shape_cache.misses,
-            "shape_cache_evictions": self.shape_cache.evictions,
-            "representative_cache_hits": self.representative_cache.hits,
-            "representative_cache_misses": self.representative_cache.misses,
         }
 
     def describe(self) -> dict:
@@ -684,38 +628,6 @@ class SqliteStore(SqliteBacked, StateStore):
             "checkpoints": counts["checkpoints"],
             "resumable_checkpoints": len(pending),
         }
-
-
-def load_shard_shape_rows(
-    path: "str | Path", shard: int, nshards: int, limit: Optional[int] = None
-) -> list:
-    """The shapes of one hash shard of the store at *path*, decoded.
-
-    Used by frontier worker processes to pre-cons their own
-    ``stable_shape_hash % nshards`` slice of a populated store's shape table
-    — and only that slice — through a short-lived read-only connection.
-    *limit* bounds the rows returned (pre-warming is an optimisation; a
-    worker must never materialise an unbounded shard).  An empty, missing,
-    or pre-migration store yields no rows.
-    """
-    query = (
-        "SELECT shape FROM shapes "
-        "WHERE shape_hash IS NOT NULL AND (shape_hash % ?) = ? ORDER BY id"
-    )
-    params: tuple = (nshards, shard)
-    if limit is not None:
-        query += " LIMIT ?"
-        params += (limit,)
-    try:
-        conn = sqlite3.connect(str(path))
-        try:
-            conn.execute(f"PRAGMA busy_timeout={_BUSY_TIMEOUT_MS}")
-            rows = conn.execute(query, params).fetchall()
-        finally:
-            conn.close()
-    except sqlite3.Error:
-        return []
-    return [decode_shape_row(row) for (row,) in rows]
 
 
 def open_store(path: "str | Path | None", **kwargs) -> StateStore:

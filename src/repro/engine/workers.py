@@ -23,11 +23,8 @@ Workers never intern canonical state ids: interning order determines the
 engine's dense id assignment, and keeping it on the coordinator (which merges
 in serial pop order) is what makes parallel runs bit-identical to serial
 ones.  Subtree ids are local to a worker's interner too, so everything an
-answer carries names shapes by nested tuple.  On a store-backed exploration
-each worker hydrates only its own ``stable_shape_hash % N`` slice of the
-persisted shape table into its local subtree ids
-(:func:`~repro.engine.store.load_shard_shape_rows`), so worker residency
-scales with the shard, never the whole table.  What
+answer carries names shapes by nested tuple.  Workers never read the
+engine's state store: everything a batch needs arrives with its task.  What
 workers *do* share is guard evaluations: each worker keeps an in-memory
 :class:`~repro.engine.guards.GuardCache` keyed identically to the
 coordinator's (states are addressed by their canonical ids, shipped with the
@@ -40,13 +37,11 @@ from __future__ import annotations
 import multiprocessing
 import queue as queue_module
 import traceback
-from typing import Optional
 
 from repro.core.guarded_form import GuardedForm, Update
 from repro.engine.engine import enumerate_expansion
 from repro.engine.guards import GuardCache, map_subtree_keys
 from repro.engine.interning import IncrementalShaper, ShapeInterner
-from repro.engine.store import load_shard_shape_rows
 from repro.engine.wire import FrameEncoder
 from repro.exceptions import AnalysisError
 from repro.io.serialization import decode_instance_with_ids
@@ -59,12 +54,6 @@ _SHUTDOWN = None
 #: collecting wave results.
 _POLL_INTERVAL = 0.25
 
-#: Most persisted shapes a worker pre-cons from its shard at startup.
-#: Pre-warming the subtree caches is an optimisation, never a requirement,
-#: so it must stay bounded — a worker attached to a 10^7-row store must not
-#: materialise its whole 1/N slice.
-SHARD_HYDRATION_LIMIT = 100_000
-
 
 class FrontierWorker:
     """The per-process expansion state: one guarded form, local caches.
@@ -76,14 +65,7 @@ class FrontierWorker:
     benchgen family.
     """
 
-    def __init__(
-        self,
-        guarded_form: GuardedForm,
-        store_path: Optional[str] = None,
-        shard: Optional[int] = None,
-        nshards: Optional[int] = None,
-        telemetry=None,
-    ) -> None:
+    def __init__(self, guarded_form: GuardedForm, telemetry=None) -> None:
         self._form = guarded_form
         self._interner = ShapeInterner()
         self._shaper = IncrementalShaper(self._interner)
@@ -92,18 +74,6 @@ class FrontierWorker:
         #: Guard entries already shipped to the coordinator: the cache's
         #: first ``_guards_reported`` entries.
         self._guards_reported = 0
-        #: Persisted shapes interned into this worker's local interner —
-        #: only its own ``stable_shape_hash % nshards`` slice (capped at
-        #: :data:`SHARD_HYDRATION_LIMIT`), never the whole table, so worker
-        #: residency stays proportional to the shard and bounded.
-        self.shapes_hydrated = 0
-        if store_path is not None and shard is not None and nshards:
-            with self.telemetry.span("worker.hydrate", shard=shard, nshards=nshards):
-                for shape in load_shard_shape_rows(
-                    store_path, shard, nshards, limit=SHARD_HYDRATION_LIMIT
-                ):
-                    self._interner.cons_tree(shape)
-                    self.shapes_hydrated += 1
 
     def expand(self, state_id: int, blob: str) -> tuple:
         """Expansion payload for one state: ``(candidates, queries)``.
@@ -165,16 +135,12 @@ def worker_main(
     guarded_form: GuardedForm,
     tasks,
     results,
-    store_path,
-    nshards=None,
     telemetry_enabled=False,
 ) -> None:
     """Entry point of one worker process: loop over task batches until told
     to shut down, reporting each batch (or the failure that killed it).
 
-    The worker owns shard ``index`` of ``nshards`` — it hydrates only that
-    slice of a populated store's shape table into its local caches.  Every
-    result echoes the wave id its task carried, so the coordinator can
+    Every result echoes the wave id its task carried, so the coordinator can
     discard answers to a wave it abandoned (e.g. a ``KeyboardInterrupt``
     landing mid-collection) instead of mistaking them for the next wave's.
 
@@ -185,13 +151,7 @@ def worker_main(
     """
     telemetry = Telemetry(process=f"frontier-worker-{index}") if telemetry_enabled else None
     try:
-        worker = FrontierWorker(
-            guarded_form,
-            store_path,
-            shard=index,
-            nshards=nshards,
-            telemetry=telemetry,
-        )
+        worker = FrontierWorker(guarded_form, telemetry=telemetry)
     except BaseException:  # noqa: BLE001 - report startup failures, don't hang the pool
         results.put((index, None, None, traceback.format_exc()))
         return
@@ -221,7 +181,6 @@ class WorkerPool:
         self,
         guarded_form: GuardedForm,
         workers: int,
-        store_path: Optional[str] = None,
         telemetry_enabled: bool = False,
     ) -> None:
         if workers < 1:
@@ -239,8 +198,6 @@ class WorkerPool:
                     guarded_form,
                     self._tasks[index],
                     self._results,
-                    store_path,
-                    workers,
                     telemetry_enabled,
                 ),
                 daemon=True,

@@ -14,7 +14,7 @@ long-running service surface:
   (``{"error": {"code", "message", "retryable"}}``) shared by
   ``run_analysis`` and the HTTP layer;
 * :mod:`repro.service.jobs` — the sqlite-backed job queue (reusing the
-  engine store's :class:`~repro.engine.store.SqliteBacked` plumbing);
+  engine store's :class:`~repro.engine.sqlite_base.SqliteBacked` plumbing);
 * :mod:`repro.service.admission` — pod capacity accounting: per-job
   resident budgets admitted against ``capacity_kb * overcommit``, plus the
   family-median stall detector that evicts wedged jobs;

@@ -7,11 +7,12 @@ explorations then pick up from the engine-store checkpoints their slices
 left behind (the same ``--resume`` machinery the CLI uses, pinned
 bit-identical by the engine tests).
 
-The store reuses the engine store's :class:`~repro.engine.store.SqliteBacked`
-plumbing (WAL journal, busy timeout, ``meta`` table) with one twist: the
-HTTP handler threads and the worker threads share a single connection behind
-a lock (``check_same_thread=False``), and every mutation commits immediately
-— queue durability is the point.
+The store reuses the shared
+:class:`~repro.engine.sqlite_base.SqliteBacked` plumbing (WAL journal, busy
+timeout, ``meta`` table) with one twist: the HTTP handler threads and the
+worker threads share a single connection behind a lock
+(``check_same_thread=False``), and every mutation commits immediately — queue
+durability is the point.
 
 Job lifecycle::
 

@@ -125,3 +125,23 @@ def test_depth1_and_bounded_checkpoints_share_a_store(tmp_path):
     assert depth1_graph.transitions == depth1_reference.transitions
     assert bounded_graph.states == bounded_reference.states
     assert bounded_graph.transitions == bounded_reference.transitions
+
+
+def test_an_interrupted_slice_is_committed_without_a_flush(tmp_path):
+    """A depth-1 run writes only checkpoints, and each commits itself: a
+    second handle on the file, opened while the interrupted slice's handle
+    is still open and unflushed, resumes from it to the whole graph."""
+    form = CASES["sat"][0]()
+    reference = ExplorationEngine(form).explore_depth1()
+    path = tmp_path / "live.db"
+    first = SqliteStore(path)
+    with pytest.raises(ExplorationInterrupted):
+        ExplorationEngine(form, store=first).explore_depth1(resume=True, step_limit=7)
+    second = SqliteStore(path)
+    engine = ExplorationEngine(form, store=second)
+    graph = engine.explore_depth1(resume=True)
+    second.close()
+    first.close()
+    assert engine.stats_snapshot()["explorations_resumed"] == 1
+    assert graph.states == reference.states
+    assert graph.transitions == reference.transitions

@@ -27,7 +27,6 @@ from repro.analysis.semisoundness import decide_semisoundness
 from repro.benchgen.families import counter_machine_family, positive_deep_family
 from repro.engine import (
     ExplorationEngine,
-    FrontierWorker,
     ParallelExplorationEngine,
     SqliteStore,
     stable_shape_hash,
@@ -348,38 +347,6 @@ class TestResidentBudget:
             ExplorationEngine(form, resident_budget=8)
 
 
-class TestShardHydration:
-    def test_workers_hydrate_only_their_shard(self, tmp_path):
-        form = positive_deep_family(3, width=2)
-        path = tmp_path / "shards.db"
-        build_store(path, form)
-
-        store = SqliteStore(path)
-        by_shard = {
-            shard: list(store.load_shapes_for_shard(shard, 3)) for shard in range(3)
-        }
-        all_rows = list(store.load_shapes())
-        store.close()
-        # the shards partition the table: disjoint, union = everything
-        merged = sorted(row for rows in by_shard.values() for row in rows)
-        assert merged == sorted(all_rows)
-        for shard, rows in by_shard.items():
-            assert rows, "every shard of this workload should be non-empty"
-            for _, shape in rows:
-                assert stable_shape_hash(shape) % 3 == shard
-
-        for shard in range(3):
-            worker = FrontierWorker(form, store_path=str(path), shard=shard, nshards=3)
-            assert worker.shapes_hydrated == len(by_shard[shard])
-
-    def test_worker_without_shard_info_hydrates_no_shapes(self, tmp_path):
-        form = positive_deep_family(3, width=2)
-        path = tmp_path / "noshard.db"
-        build_store(path, form)
-        worker = FrontierWorker(form, store_path=str(path))
-        assert worker.shapes_hydrated == 0
-
-
 class TestReverseLookup:
     def test_get_state_id_flushed_pending_and_absent(self, tmp_path):
         form = leave_application(single_period=True)
@@ -440,25 +407,73 @@ class TestReverseLookup:
         again.close()
 
 
-class TestNegativeCaching:
-    def test_absent_representative_is_cached(self, tmp_path):
-        store = SqliteStore(tmp_path / "neg.db")
+class TestAbsentRows:
+    """An absent row reads ``None`` on every read, and a row put afterwards
+    is readable at once: from the write buffer, after a flush, and from the
+    file after a reopen."""
+
+    def test_absent_representative_then_put(self, tmp_path):
+        path = tmp_path / "neg.db"
+        store = SqliteStore(path, batch_size=1000)
         assert store.get_representative(99) is None
         assert store.get_representative(99) is None
-        # one database miss, then a cache hit for the memoized None
-        assert store.representative_cache.misses == 1
-        assert store.representative_cache.hits == 1
-        # registering the representative later overwrites the cached miss
         store.put_representative(99, "blob")
+        assert store.get_representative(99) == "blob"  # unflushed
+        store.flush()
         assert store.get_representative(99) == "blob"
         store.close()
+        reopened = SqliteStore(path)
+        assert reopened.get_representative(99) == "blob"
+        assert reopened.get_representative(98) is None
+        reopened.close()
 
-    def test_absent_shape_is_cached(self, tmp_path):
-        store = SqliteStore(tmp_path / "negshape.db")
+    def test_absent_shape_then_put(self, tmp_path):
+        path = tmp_path / "negshape.db"
+        store = SqliteStore(path, batch_size=1000)
         assert store.get_shape(42) is None
         assert store.get_shape(42) is None
-        assert store.shape_cache.misses == 1
-        assert store.shape_cache.hits == 1
         store.put_shape(42, ("r", ()))
+        assert store.get_shape(42) == ("r", ())  # unflushed
+        store.flush()
         assert store.get_shape(42) == ("r", ())
+        store.close()
+        reopened = SqliteStore(path)
+        assert reopened.get_shape(42) == ("r", ())
+        assert reopened.get_shape(41) is None
+        reopened.close()
+
+    def test_row_put_as_encoding_alone_reads_back_unflushed(self, tmp_path):
+        """The interner writes a row as its canonical encoding and digest,
+        never the tuple: a read of the still-buffered row decodes it, and
+        the reverse lookup finds it by its bytes."""
+        from repro.io.serialization import encode_shape_binary
+
+        shape = ("r", (("a", ()), ("b", (("c", ()),))))
+        store = SqliteStore(tmp_path / "encoded.db", batch_size=1000)
+        store.put_shape(5, None, encoded=encode_shape_binary(shape))
+        assert store.get_shape(5) == shape  # unflushed
+        assert store.get_state_id(shape) == 5
+        store.flush()
+        assert store.get_shape(5) == shape
+        assert store.get_state_id(shape) == 5
+        store.close()
+
+    def test_every_read_of_a_flushed_row_goes_to_sqlite(self, tmp_path):
+        """No read cache sits between the engine and the file: buffered and
+        absent rows count no row read, and each read of a flushed row counts
+        one."""
+        store = SqliteStore(tmp_path / "reads.db", batch_size=1000)
+        store.put_shape(1, ("r", ()))
+        store.put_representative(1, "blob")
+        store.get_shape(1)
+        store.get_representative(1)
+        store.get_shape(2)
+        store.get_representative(2)
+        assert store.rows_read == 0
+        store.flush()
+        for _ in range(2):
+            assert store.get_shape(1) == ("r", ())
+            assert store.get_representative(1) == "blob"
+        assert store.rows_read == 4
+        assert not any("cache" in key for key in store.stats())
         store.close()

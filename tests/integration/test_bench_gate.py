@@ -1,7 +1,8 @@
 """The engine benchmark's ``--check`` gate, on hand-built reports.
 
-Deterministic verdicts and the row ceilings fail on any host; states/sec
-drift fails only against a baseline measured on the same host.
+Deterministic verdicts and the row ceilings fail on any host; drift of
+states/sec at the reference speed fails only against a baseline measured on
+the same host.
 """
 
 import copy
@@ -34,12 +35,14 @@ def report(host=HOST, **telemetry_fields):
                     "workload": "store row",
                     "kind": "bounded-store",
                     "states_per_second": 2000.0,
+                    "reference_states_per_second": 1500.0,
                     "checks": {"store_matches_memory": True},
                 },
                 {
                     "workload": "telemetry row",
                     "kind": "telemetry",
                     "states_per_second": 5000.0,
+                    "reference_states_per_second": 4000.0,
                     "telemetry_overhead_q1": 0.01,
                     "checks": {"traced_matches_untraced": True},
                     **telemetry_fields,
@@ -68,11 +71,19 @@ def test_parity_break_fails_on_any_host(run_all, baseline_host):
 
 def test_states_per_second_drop_fails_only_on_same_host(run_all):
     fresh = report()
-    rows(fresh)["store row"]["states_per_second"] = 1000.0
+    rows(fresh)["store row"]["reference_states_per_second"] = 750.0
     same = run_all.check_regressions(fresh, report(), 0.25)
     assert len(same) == 1 and "regressed" in same[0]
     assert run_all.check_regressions(fresh, report(host=FOREIGN_HOST), 0.25) == []
     assert run_all.check_regressions(fresh, report(host=None), 0.25) == []
+
+
+def test_slower_host_alone_passes(run_all):
+    """Raw states/sec that fell with the host's speed, at an unchanged rate
+    at the reference speed, is the host's drift, not a regression."""
+    fresh = report()
+    rows(fresh)["store row"]["states_per_second"] = 1000.0
+    assert run_all.check_regressions(fresh, report(), 0.25) == []
 
 
 def test_missing_baseline_row_fails(run_all):
@@ -89,3 +100,19 @@ def test_telemetry_overhead_lower_quartile_above_ceiling_fails(run_all):
         report(telemetry_overhead_q1=0.06), report(host=FOREIGN_HOST), 0.25
     )
     assert len(failures) == 1 and "6.0%" in failures[0]
+
+
+def test_reference_rate_scales_each_run_by_the_host_speed(run_all):
+    """A run's seconds at the reference speed divide out the mean pass time
+    of its two readings, so a run that took twice as long on a host half as
+    fast scores the same reference rate."""
+    fast = run_all.Run(1.0, (2.0, 2.0), None)
+    slow = run_all.Run(2.0, (1.0, 1.0), None)
+    assert fast.reference_seconds == pytest.approx(2.0)
+    assert slow.reference_seconds == pytest.approx(2.0)
+    # readings of 1 and 3: mean pass time (1 + 1/3) / 2, speed 1.5
+    assert run_all.Run(3.0, (1.0, 3.0), None).reference_seconds == pytest.approx(4.5)
+    fields = run_all.timed_fields(100, [fast, slow, run_all.Run(4.0, (1.0, 1.0), None)])
+    assert fields["states_per_second"] == 100.0  # the fastest raw run
+    assert fields["reference_states_per_second"] == 50.0  # the median scaled run
+    assert fields["host_speed"] == [[2.0, 2.0], [1.0, 1.0], [1.0, 1.0]]

@@ -9,9 +9,8 @@ Two invariants gate the store:
   representative row, and any malformed row is rejected with
   :class:`~repro.exceptions.SerializationError`;
 
-* **id stability** — however persists, cache evictions, flushes and
-  re-opens interleave, an interner backed by the store never changes the id
-  it assigns to a shape.
+* **id stability** — however persists, flushes and re-opens interleave, an
+  interner backed by the store never changes the id it assigns to a shape.
 """
 
 import json
@@ -22,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.core.guarded_form import Addition, Deletion
 from repro.core.instance import Instance
-from repro.engine import ExplorationEngine, LRUCache, ShapeInterner, SqliteStore
+from repro.engine import ExplorationEngine, ShapeInterner, SqliteStore
 from repro.engine.store import exploration_run_key
 from repro.analysis.results import ExplorationLimits
 from repro.benchgen.families import counter_machine_family
@@ -131,15 +130,17 @@ def test_arbitrary_origin_text_decodes_or_raises_the_typed_error(text):
 @given(instance=instances())
 def test_persisted_shape_rows_roundtrip_through_sqlite(tmp_path_factory, instance):
     path = tmp_path_factory.mktemp("store") / "roundtrip.db"
-    store = SqliteStore(path, batch_size=1)
+    store = SqliteStore(path, batch_size=1000)
     shape = instance.shape()
     store.put_shape(0, shape)
+    assert store.get_shape(0) == shape  # from the write buffer
     store.flush()
-    assert store.get_shape(0) == shape
-    # a cold read (cache dropped) must also reproduce the shape
-    store.shape_cache.clear()
-    assert store.get_shape(0) == shape
+    assert store.get_shape(0) == shape  # from sqlite
     store.close()
+    # a cold read from the reopened file must also reproduce the shape
+    reopened = SqliteStore(path)
+    assert reopened.get_shape(0) == shape
+    reopened.close()
 
 
 @given(
@@ -169,7 +170,10 @@ def test_run_keys_identify_exploration_parameters(instance, limits, strategy, st
 @given(
     copies=st.lists(st.integers(min_value=0, max_value=2), min_size=4, max_size=10),
     ops=st.lists(
-        st.tuples(st.sampled_from(["intern", "evict", "flush", "reintern"]), st.integers(0, 9)),
+        st.tuples(
+            st.sampled_from(["intern", "evict", "flush", "reopen", "reintern"]),
+            st.integers(0, 9),
+        ),
         max_size=25,
     ),
 )
@@ -177,9 +181,10 @@ def test_run_keys_identify_exploration_parameters(instance, limits, strategy, st
 def test_interleaved_persist_evict_never_changes_interner_ids(
     tmp_path_factory, copies, ops
 ):
-    """Whatever order shapes are interned, cache-evicted, flushed and
-    re-interned in, the id an interned shape got the first time is the id it
-    keeps — and the store always serves back an equal shape."""
+    """Whatever order shapes are interned, evicted from the interner,
+    flushed, re-opened and re-interned in, the id an interned shape got the
+    first time is the id it keeps — and the store always serves back an
+    equal shape, from its write buffer or from sqlite."""
     schema = property_schema()
     labels = [child.label for child in schema.root.children]
     pool = []
@@ -191,8 +196,18 @@ def test_interleaved_persist_evict_never_changes_interner_ids(
         pool.append(instance.shape())
 
     path = tmp_path_factory.mktemp("store") / "stability.db"
-    store = SqliteStore(path, batch_size=3, cache_size=2)  # tiny LRU: evict often
-    interner = ShapeInterner(store=store)
+
+    def attach():
+        # a fresh process's view: a new store and an interner bound to the
+        # persisted id range, holding no row resident
+        store = SqliteStore(path, batch_size=3)
+        interner = ShapeInterner(store=store)
+        max_id = store.max_state_id()
+        if max_id is not None:
+            interner.bind_persisted(max_id, store.shape_row_count())
+        return store, interner
+
+    store, interner = attach()
     assigned: dict = {}
     for op, raw_index in ops:
         shape = pool[raw_index % len(pool)]
@@ -200,9 +215,12 @@ def test_interleaved_persist_evict_never_changes_interner_ids(
             store.flush()
             continue
         if op == "evict":
-            state_id = assigned.get(shape)
-            if state_id is not None:
-                store.shape_cache.evict(state_id)
+            # later touches read the evicted rows back from the store
+            interner.evict_states(keep=raw_index % 3)
+            continue
+        if op == "reopen":
+            store.close()
+            store, interner = attach()
             continue
         state_id, is_new = interner.state_id(shape)
         if shape in assigned:
@@ -211,6 +229,8 @@ def test_interleaved_persist_evict_never_changes_interner_ids(
         else:
             assert is_new
             assigned[shape] = state_id
+    for shape, state_id in assigned.items():
+        assert store.get_shape(state_id) == shape
     store.flush()
     for shape, state_id in assigned.items():
         assert interner.state_id(shape) == (state_id, False)
@@ -246,28 +266,6 @@ def test_engine_representative_eviction_is_transparent(tmp_path_factory, evict_k
         rep = engine.representative(state_id)  # transparently reloaded
         assert rep.shape() == graph.shape_of(state_id)
     engine.store.close()
-
-
-def test_lru_cache_counts_and_evicts():
-    cache = LRUCache(2)
-    cache.put("a", 1)
-    cache.put("b", 2)
-    assert cache.get("a") == 1
-    cache.put("c", 3)  # evicts "b", the least recently used
-    assert cache.get("b") is None
-    assert cache.hits == 1 and cache.misses == 1 and cache.evictions == 1
-    assert len(cache) == 2
-
-
-def test_lru_cache_distinguishes_cached_none_from_a_miss():
-    """A cached ``None`` (negative lookup) is a hit; only true absence falls
-    through to *default* — the fix for the re-fetch-forever bug."""
-    sentinel = object()
-    cache = LRUCache(2)
-    cache.put("negative", None)
-    assert cache.get("negative", sentinel) is None  # cached None, not default
-    assert cache.get("absent", sentinel) is sentinel
-    assert cache.hits == 1 and cache.misses == 1
 
 
 # --------------------------------------------------------------------------- #
