@@ -31,6 +31,7 @@ from repro.analysis.semisoundness import (
     semisoundness_depth1,
 )
 from repro.analysis.statespace import (
+    Depth1MaskGraph,
     Depth1StateGraph,
     StateGraph,
     explore_bounded,
@@ -52,6 +53,7 @@ __all__ = [
     "AnalysisResult",
     "ExplorationLimits",
     "StateGraph",
+    "Depth1MaskGraph",
     "Depth1StateGraph",
     "explore_depth1",
     "explore_bounded",

@@ -160,10 +160,12 @@ def completability_depth1(
     """Exact completability for depth-1 guarded forms (Theorem 4.6).
 
     Explores the full graph of reachable canonical states (label sets below
-    the root, Lemma 4.3) and reports whether any of them satisfies the
-    completion formula.  Always terminates; worst case ``2^n`` states, but
-    the engine's support-projected guard cache shares formula evaluations
-    across states that agree on the labels a rule can observe.
+    the root, Lemma 4.3, held as label bitmasks) and reports whether any of
+    them satisfies the completion formula.  Always terminates; worst case
+    ``2^n`` states, but the engine's support-projected guard cache shares
+    formula evaluations across states that agree on the labels a rule can
+    observe.  The witness is the complete reachable state whose sorted label
+    list is smallest; only those candidate masks become label sets.
 
     *stop_on_complete* stops the exploration at the first complete state it
     discovers (opt-in, as on the bounded path; the stats then carry
@@ -185,15 +187,15 @@ def completability_depth1(
         resume=resume,
         step_limit=step_limit,
     )
-    complete_states = engine.complete_depth1_states(graph)
-    reachable = graph.reachable_from(graph.initial)
-    witnesses = sorted(reachable & complete_states, key=sorted)
+    completion = engine.guards.d1_completion
+    complete_masks = {mask for mask in graph.masks if completion(mask)}
+    witnesses = graph.reachable_masks(graph.initial_mask) & complete_masks
     answer = bool(witnesses)
-    witness_run = graph.run_to(witnesses[0]) if witnesses else None
+    witness_run = graph.run_to_mask(graph.first_by_labels(witnesses)) if witnesses else None
     stats = {
-        "canonical_states": len(graph.states),
-        "complete_states": len(complete_states & reachable),
-        "transitions": transition_count(graph),
+        "canonical_states": len(graph.masks),
+        "complete_states": len(witnesses),
+        "transitions": graph.transition_count(),
     }
     if stop_on_complete:
         stats["stopped_on_complete"] = graph.stopped_on_complete

@@ -59,9 +59,11 @@ def semisoundness_depth1(
 ) -> AnalysisResult:
     """Exact semi-soundness for depth-1 guarded forms.
 
-    The reachable canonical states are enumerated once; the form is semi-sound
-    iff every reachable state can reach a state satisfying the completion
-    formula (a backward-closure computation on the same graph).  *step_limit*
+    The reachable canonical states are enumerated once, as label bitmasks;
+    the form is semi-sound iff every reachable state can reach a state
+    satisfying the completion formula (a backward-closure computation over
+    the same graph's moves).  The counterexample is the stuck state whose
+    sorted label list is smallest.  *step_limit*
     and *resume* slice the enumeration through the engine's store; the
     enumeration is serial on a parallel *engine* too (see
     :func:`~repro.analysis.completability.completability_depth1`).
@@ -70,16 +72,19 @@ def semisoundness_depth1(
     graph = engine.explore_depth1(
         start=start, strategy=frontier, resume=resume, step_limit=step_limit
     )
-    reachable = graph.reachable_from(graph.initial)
-    complete_states = engine.complete_depth1_states(graph)
-    can_complete = graph.backward_closure(complete_states & graph.states)
-    stuck = sorted(reachable - can_complete, key=sorted)
+    reachable = graph.reachable_masks(graph.initial_mask)
+    completion = engine.guards.d1_completion
+    can_complete = graph.backward_closure_masks(
+        [mask for mask in graph.masks if completion(mask)]
+    )
+    stuck = reachable - can_complete
     answer = not stuck
     counterexample = None
     witness_run = None
     if stuck:
-        counterexample = depth1_state_to_instance(guarded_form.schema, stuck[0])
-        witness_run = graph.run_to(stuck[0])
+        first = graph.first_by_labels(stuck)
+        counterexample = depth1_state_to_instance(guarded_form.schema, graph.label_set(first))
+        witness_run = graph.run_to_mask(first)
     return AnalysisResult(
         problem=_PROBLEM,
         decided=True,
@@ -88,8 +93,8 @@ def semisoundness_depth1(
         witness_run=witness_run,
         counterexample=counterexample,
         stats={
-            "canonical_states": len(graph.states),
-            "transitions": transition_count(graph),
+            "canonical_states": len(graph.masks),
+            "transitions": graph.transition_count(),
             "reachable_states": len(reachable),
             "incompletable_reachable_states": len(stuck),
             "engine": engine.stats_snapshot(),

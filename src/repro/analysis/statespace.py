@@ -8,12 +8,14 @@ evaluation shared across every exploration on the same engine, and pluggable
 frontier strategies (BFS / DFS / completion-guided).  This module keeps three
 things:
 
-* the two graph types the rest of the library (and its tests) consume:
-  :class:`Depth1StateGraph` for the canonical label-set states of depth-1
-  forms (Lemma 4.3, the executable counterpart of Theorem 4.6 /
-  Corollary 4.7) and :class:`StateGraph` for isomorphism-deduplicated
-  bounded exploration of deeper forms (necessarily truncated in general —
-  Theorem 4.1);
+* the graph types the rest of the library (and its tests) consume:
+  :class:`Depth1MaskGraph`, the engine's depth-1 graph over label bitmasks,
+  on which the depth-1 procedures decide (Lemma 4.3, the executable
+  counterpart of Theorem 4.6 / Corollary 4.7); :class:`Depth1StateGraph`,
+  the same graph over label sets, which the mask graph builds as a view on
+  first read and the reference explorer builds directly; and
+  :class:`StateGraph` for isomorphism-deduplicated bounded exploration of
+  deeper forms (necessarily truncated in general — Theorem 4.1);
 
 * the historic entry points :func:`explore_depth1` and
   :func:`explore_bounded`, now thin shims that run a fresh engine and return
@@ -26,12 +28,16 @@ things:
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
 from repro.analysis.results import ExplorationLimits
-from repro.core.canonical import canonical_depth1_state, depth1_state_to_instance
+from repro.core.canonical import (
+    canonical_depth1_state,
+    depth1_mask_state,
+    depth1_state_to_instance,
+)
 from repro.core.guarded_form import Addition, Deletion, GuardedForm, Update
 from repro.core.instance import Instance
 from repro.core.runs import Run
@@ -53,7 +59,12 @@ class Depth1Transition:
 
 @dataclass
 class Depth1StateGraph:
-    """The complete reachable canonical-state graph of a depth-1 guarded form."""
+    """The complete reachable canonical-state graph of a depth-1 guarded form,
+    over label sets.
+
+    The reference type: :func:`legacy_explore_depth1` builds it directly,
+    and :class:`Depth1MaskGraph` builds one as its label-set view.
+    """
 
     guarded_form: GuardedForm
     initial: Depth1State
@@ -139,26 +150,206 @@ class Depth1StateGraph:
         path = self.path_to(target)
         if path is None:
             return None
-        schema = self.guarded_form.schema
-        start = depth1_state_to_instance(schema, self.initial)
-        run = Run(self.guarded_form, [], start=start)
-        current = start.copy()
-        for transition in path:
-            if transition.kind == "add":
-                update: Update = Addition(current.root.node_id, transition.label)
-            else:
-                node = next(
-                    child
-                    for child in current.root.children
-                    if child.label == transition.label
-                )
-                update = Deletion(node.node_id)
-            run.updates.append(update)
-            current = self.guarded_form.apply_unchecked(current, update, in_place=True)
-        return run
+        moves = [(transition.kind, transition.label) for transition in path]
+        return depth1_run(self.guarded_form, self.initial, moves)
 
 
-def explore_depth1(guarded_form: GuardedForm, start: Optional[Instance] = None) -> Depth1StateGraph:
+def depth1_run(guarded_form: GuardedForm, initial: Depth1State, moves) -> Run:
+    """The run that starts from the canonical instance of *initial* and
+    applies the ``(kind, label)`` *moves* in order."""
+    start = depth1_state_to_instance(guarded_form.schema, initial)
+    run = Run(guarded_form, [], start=start)
+    current = start.copy()
+    for kind, label in moves:
+        if kind == "add":
+            update: Update = Addition(current.root.node_id, label)
+        else:
+            node = next(child for child in current.root.children if child.label == label)
+            update = Deletion(node.node_id)
+        run.updates.append(update)
+        current = guarded_form.apply_unchecked(current, update, in_place=True)
+    return run
+
+
+class Depth1MaskGraph:
+    """The canonical-state graph of a depth-1 form over label bitmasks, as
+    :meth:`~repro.engine.ExplorationEngine.explore_depth1` explores it.
+
+    A state is the ``int`` mask of the labels below the root, over the
+    schema's root-child bits (*bits*, :func:`~repro.core.canonical.depth1_label_bits`).
+    *masks* holds every discovered state, in discovery order, and *moves*
+    maps each expanded state to its ``(kind, label, target mask)`` moves, in
+    expansion order; the engine shares these lists with its expansion memo,
+    so they are read-only.  The depth-1 procedures decide on the masks alone
+    (:meth:`reachable_masks`, :meth:`backward_closure_masks`,
+    :meth:`run_to_mask`).
+
+    The label-set API of :class:`Depth1StateGraph` (``initial``,
+    ``states``, ``transitions``, ``successors``, ``reachable_from``,
+    ``backward_closure``, ``path_to``, ``run_to``, ``satisfying_states``)
+    reads a :class:`Depth1StateGraph` that is built on the first such read
+    and reused after it (:attr:`label_graph`).
+    """
+
+    def __init__(
+        self,
+        guarded_form: GuardedForm,
+        bits: dict,
+        initial_mask: int,
+        masks,
+        moves: dict,
+        stopped_on_complete: bool = False,
+    ) -> None:
+        self.guarded_form = guarded_form
+        self.bits = bits
+        self.initial_mask = initial_mask
+        self.masks = masks
+        self.moves = moves
+        #: whether the exploration stopped at the first complete state found
+        self.stopped_on_complete = stopped_on_complete
+        self._label_graph: Optional[Depth1StateGraph] = None
+
+    # ------------------------------------------------------------------ #
+    # masks
+    # ------------------------------------------------------------------ #
+
+    def transition_count(self) -> int:
+        """Total moves of the expanded states."""
+        return sum(map(len, self.moves.values()))
+
+    def reachable_masks(self, start: int) -> set:
+        """All masks reachable from *start* inside the graph."""
+        moves = self.moves
+        seen = {start}
+        frontier = [start]
+        for state in frontier:  # grows as it is read
+            for _kind, _label, target in moves.get(state, ()):
+                if target not in seen:
+                    seen.add(target)
+                    frontier.append(target)
+        return seen
+
+    def backward_closure_masks(self, targets) -> set:
+        """All masks from which some mask in *targets* is reachable."""
+        predecessors = defaultdict(list)
+        for source, moves in self.moves.items():
+            for _kind, _label, target in moves:
+                predecessors[target].append(source)
+        closure = set(targets)
+        frontier = list(closure)
+        for state in frontier:  # grows as it is read
+            for predecessor in predecessors.get(state, ()):
+                if predecessor not in closure:
+                    closure.add(predecessor)
+                    frontier.append(predecessor)
+        return closure
+
+    def mask_path(self, target: int) -> Optional[list]:
+        """The ``(kind, label)`` moves of a shortest path from the initial
+        mask to *target*: the path :meth:`Depth1StateGraph.path_to` takes,
+        since both search breadth-first in move order."""
+        initial = self.initial_mask
+        if target == initial:
+            return []
+        moves = self.moves
+        parents = {initial: None}
+        frontier = deque([initial])
+        while frontier:
+            state = frontier.popleft()
+            for move in moves.get(state, ()):
+                successor = move[2]
+                if successor in parents:
+                    continue
+                parents[successor] = (state, move)
+                if successor == target:
+                    path = []
+                    while successor != initial:
+                        successor, (kind, label, _target) = parents[successor]
+                        path.append((kind, label))
+                    path.reverse()
+                    return path
+                frontier.append(successor)
+        return None
+
+    def run_to_mask(self, target: int) -> Optional[Run]:
+        """:meth:`run_to` for the state with mask *target*."""
+        path = self.mask_path(target)
+        if path is None:
+            return None
+        return depth1_run(self.guarded_form, self.label_set(self.initial_mask), path)
+
+    def first_by_labels(self, masks) -> int:
+        """The mask among *masks* whose sorted label list is smallest: the
+        depth-1 procedures' choice of witness and counterexample."""
+        return min(masks, key=lambda mask: sorted(self.label_set(mask)))
+
+    def label_set(self, mask: int) -> Depth1State:
+        """The label set of *mask*."""
+        return depth1_mask_state(self.bits, mask)
+
+    # ------------------------------------------------------------------ #
+    # the label-set view
+    # ------------------------------------------------------------------ #
+
+    @property
+    def label_graph(self) -> Depth1StateGraph:
+        """The graph over label sets, built on first read.
+
+        States enter it in the order in which they first appear as
+        transition targets, expanded states in expansion order, as
+        ``legacy_explore_depth1`` adds them.
+        """
+        graph = self._label_graph
+        if graph is None:
+            bits = self.bits
+            label_sets = {mask: depth1_mask_state(bits, mask) for mask in self.masks}
+            graph = Depth1StateGraph(self.guarded_form, label_sets[self.initial_mask])
+            graph.stopped_on_complete = self.stopped_on_complete
+            graph_states = graph.states
+            graph_states.add(graph.initial)
+            for source, moves in self.moves.items():
+                source_set = label_sets[source]
+                edges = []
+                for kind, label, target in moves:
+                    target_set = label_sets[target]
+                    graph_states.add(target_set)
+                    edges.append(Depth1Transition(kind, label, source_set, target_set))
+                graph.transitions[source_set] = edges
+            self._label_graph = graph
+        return graph
+
+    @property
+    def initial(self) -> Depth1State:
+        return self.label_graph.initial
+
+    @property
+    def states(self) -> set:
+        return self.label_graph.states
+
+    @property
+    def transitions(self) -> dict:
+        return self.label_graph.transitions
+
+    def successors(self, state: Depth1State) -> list[Depth1Transition]:
+        return self.label_graph.successors(state)
+
+    def reachable_from(self, start: Depth1State) -> set:
+        return self.label_graph.reachable_from(start)
+
+    def backward_closure(self, targets: set) -> set:
+        return self.label_graph.backward_closure(targets)
+
+    def satisfying_states(self, predicate: Callable[[Instance], bool]) -> set:
+        return self.label_graph.satisfying_states(predicate)
+
+    def path_to(self, target: Depth1State) -> Optional[list[Depth1Transition]]:
+        return self.label_graph.path_to(target)
+
+    def run_to(self, target: Depth1State) -> Optional[Run]:
+        return self.label_graph.run_to(target)
+
+
+def explore_depth1(guarded_form: GuardedForm, start: Optional[Instance] = None) -> Depth1MaskGraph:
     """Build the complete canonical-state graph of a depth-1 guarded form.
 
     Compatibility shim: runs a fresh :class:`~repro.engine.ExplorationEngine`.

@@ -1106,12 +1106,14 @@ class ExplorationEngine:
         """Build the complete canonical-state graph of a depth-1 form.
 
         Canonical states are explored as ``int`` bitmasks over the schema's
-        root-child labels (:attr:`GuardCache.d1_bits`), and converted once,
-        at the end, into the legacy
-        :class:`~repro.analysis.statespace.Depth1StateGraph` of label sets.
-        The engine contributes guard memoization — support-projected, so the
-        Theorem 5.1 SAT workloads share evaluations across exponentially many
-        states — and the frontier strategy.
+        root-child labels (:attr:`GuardCache.d1_bits`), and returned as a
+        :class:`~repro.analysis.statespace.Depth1MaskGraph`: the masks and
+        their moves, on which the depth-1 procedures decide.  Its label-set
+        API builds the :class:`~repro.analysis.statespace.Depth1StateGraph`
+        only when first read.  The engine contributes guard memoization —
+        support-projected, so the Theorem 5.1 SAT workloads share
+        evaluations across exponentially many states — and the frontier
+        strategy.
 
         Args:
             stop_on_complete: stop as soon as a discovered state satisfies
@@ -1142,8 +1144,10 @@ class ExplorationEngine:
         run_key = depth1_run_key(initial, strategy_name, stop_on_complete)
         checkpoint = self.store.load_checkpoint(run_key) if resume else None
         frontier = self._make_frontier(strategy, depth1=True)
+        # mask -> None, in discovery order (after a resume: the checkpoint's
+        # masks in ascending order, then the newly discovered ones)
         if checkpoint is not None:
-            states = set(checkpoint["states"])
+            states = dict.fromkeys(checkpoint["states"])
             transitions = {
                 source: [tuple(move) for move in moves]
                 for source, moves in checkpoint["transitions"]
@@ -1153,7 +1157,7 @@ class ExplorationEngine:
                 frontier.push(state)
             self.explorations_resumed += 1
         else:
-            states = {initial}
+            states = {initial: None}
             transitions = {}
             frontier.push(initial)
             stopped = stop_on_complete and guards.d1_completion(initial)
@@ -1174,7 +1178,7 @@ class ExplorationEngine:
             moves = transitions[state] = self._expand_depth1(state)
             for _kind, _label, target in moves:
                 if target not in states:
-                    states.add(target)
+                    states[target] = None
                     frontier.push(target)
                     if stop_on_complete and guards.d1_completion(target):
                         stopped = True
@@ -1184,10 +1188,12 @@ class ExplorationEngine:
             # returns the whole graph
             empty = self._make_frontier("bfs")
             self._save_depth1_checkpoint(run_key, initial, states, transitions, empty, stopped)
-        return self._depth1_graph(initial, states, transitions, stopped)
+        from repro.analysis.statespace import Depth1MaskGraph
+
+        return Depth1MaskGraph(form, guards.d1_bits, initial, states, transitions, stopped)
 
     def _save_depth1_checkpoint(
-        self, run_key: str, initial: int, states: set, transitions: dict, frontier, stopped: bool
+        self, run_key: str, initial: int, states: dict, transitions: dict, frontier, stopped: bool
     ) -> None:
         """Snapshot an in-flight depth-1 exploration into the store: masks
         throughout, transitions in expansion order."""
@@ -1207,31 +1213,6 @@ class ExplorationEngine:
             },
         )
 
-    def _depth1_graph(self, initial: int, states: set, transitions: dict, stopped: bool):
-        """The label-set graph of an exploration over masks.
-
-        States enter the graph in discovery order (the order in which they
-        first appear as transition targets), as ``legacy_explore_depth1``
-        adds them.
-        """
-        from repro.analysis.statespace import Depth1StateGraph, Depth1Transition
-
-        bits = self.guards.d1_bits
-        label_sets = {mask: depth1_mask_state(bits, mask) for mask in states}
-        graph = Depth1StateGraph(self.guarded_form, label_sets[initial])
-        graph.stopped_on_complete = stopped
-        graph_states = graph.states
-        graph_states.add(graph.initial)
-        for source, moves in transitions.items():
-            source_set = label_sets[source]
-            edges = []
-            for kind, label, target in moves:
-                target_set = label_sets[target]
-                graph_states.add(target_set)
-                edges.append(Depth1Transition(kind, label, source_set, target_set))
-            graph.transitions[source_set] = edges
-        return graph
-
     def _expand_depth1(self, state: int) -> list:
         memo = self._d1_expansions.get(state)
         if memo is not None:
@@ -1241,26 +1222,18 @@ class ExplorationEngine:
             return moves
         guards = self.guards
         queries_before = guards.hits + guards.misses
+        addition_allowed = guards.d1_addition_allowed
+        deletion_allowed = guards.d1_deletion_allowed
         moves: list = []
         for label, bit in guards.d1_bits.items():
-            if guards.d1_addition_allowed(state, label) and not state & bit:
+            if addition_allowed(state, label) and not state & bit:
                 moves.append(("add", label, state | bit))
         for label, bit in self._d1_by_label:
-            if state & bit and guards.d1_deletion_allowed(state, label):
+            if state & bit and deletion_allowed(state, label):
                 moves.append(("del", label, state & ~bit))
         self._d1_expansions[state] = (moves, guards.hits + guards.misses - queries_before)
         self.expansions_computed += 1
         return moves
-
-    def complete_depth1_states(self, graph) -> set:
-        """The canonical states of *graph* satisfying the completion formula."""
-        guards = self.guards
-        bits = guards.d1_bits
-        return {
-            state
-            for state in graph.states
-            if guards.d1_completion(depth1_state_mask(bits, state))
-        }
 
     # ------------------------------------------------------------------ #
     # worker lifecycle (no-op on the serial engine)

@@ -45,11 +45,13 @@ per schema node into a plan:
   each child label with its compiled add rule, whether that rule navigates
   upward, and its edge path (the subtree key's first part), plus the compiled
   delete rule of the node itself;
-* :meth:`GuardCache.d1_plan` — per field label, for depth-1 forms: the add
-  and delete rules, each compiled to a predicate over the state mask
-  (:func:`~repro.core.formulas.compiled.compile_depth1`), with its support
-  mask.  A depth-1 miss runs the predicate on the projected mask: a few bit
-  tests, no tree.
+* the depth-1 probe tables — per field label, for depth-1 forms: one table
+  for the add rules and one for the delete rules, each entry the rule
+  compiled to a predicate over the state mask
+  (:func:`~repro.core.formulas.compiled.compile_depth1`) with its support
+  mask, resolved on the label's first probe.  A depth-1 probe is one table
+  read, one projection and one cache read; a miss runs the predicate on the
+  projected mask: a few bit tests, no tree.
 
 A plan decides what to evaluate, never the key: keys depend only on the
 state, the node and the edge (``tests/engine/test_guard_counters.py`` pins
@@ -166,9 +168,9 @@ class GuardCache:
     The completion formula and each access rule are compiled
     (:mod:`repro.core.formulas.compiled`) when a probe first needs them, over
     nodes for the bounded explorer and over state masks for depth-1 forms;
-    the probes of one schema node are bundled in a plan (:meth:`plan`,
-    :meth:`d1_plan`), so a probe costs a key build and a dict lookup, and a
-    miss one closure call.
+    the probes of one schema node are bundled in a plan (:meth:`plan`), and
+    the depth-1 rules sit in per-label add and delete tables, so a probe
+    costs a key build and a dict lookup, and a miss one closure call.
     """
 
     def __init__(self, guarded_form: GuardedForm, telemetry=None) -> None:
@@ -188,8 +190,10 @@ class GuardCache:
         self._eval_unreported = 0.0
         #: schema label path -> bounded probe plan (see :meth:`plan`)
         self._plans: dict = {}
-        #: depth-1 field label -> depth-1 probe plan (see :meth:`d1_plan`)
-        self._d1_plans: dict = {}
+        #: depth-1 field label -> (predicate, support mask) of its add rule,
+        #: and of its delete rule, each filled on the label's first probe
+        self._d1_add: dict = {}
+        self._d1_del: dict = {}
         #: root-child label -> its bit in a depth-1 state mask
         self.d1_bits = depth1_label_bits(guarded_form.schema)
         #: the completion compiled over nodes, and as (predicate, support
@@ -226,18 +230,6 @@ class GuardCache:
                 rule = self._rules.rule(AccessRight.DEL, path)
                 deletion = (compile_formula(rule), navigates_upward(rule))
             plan = self._plans[path] = (tuple(additions), deletion)
-        return plan
-
-    def d1_plan(self, label: str) -> tuple:
-        """The guard probes of the depth-1 field *label*: ``(addition,
-        deletion)``, each ``(predicate, support mask)`` with ``A(add, label)``
-        and ``A(del, label)`` compiled over the state mask."""
-        plan = self._d1_plans.get(label)
-        if plan is None:
-            plan = self._d1_plans[label] = tuple(
-                self._d1_probe(self._rules.rule(right, (label,)))
-                for right in (AccessRight.ADD, AccessRight.DEL)
-            )
         return plan
 
     def _d1_probe(self, formula: Formula) -> tuple:
@@ -332,10 +324,16 @@ class GuardCache:
     # depth-1 guards (canonical states as label bitmasks, support-projected)
     # ------------------------------------------------------------------ #
 
-    def _d1_projected(self, tag: str, label_key, state: int, probe: tuple) -> bool:
-        predicate, support = probe
+    def d1_addition_allowed(self, state: int, label: str) -> bool:
+        """``A(add, label)`` at the root of the canonical depth-1 *state*."""
+        try:
+            predicate, support = self._d1_add[label]
+        except KeyError:
+            predicate, support = self._d1_add[label] = self._d1_probe(
+                self._rules.rule(AccessRight.ADD, (label,))
+            )
         projection = state & support
-        key = (tag, label_key, projection)
+        key = ("1a", label, projection)
         try:
             value = self._cache[key]
         except KeyError:
@@ -343,20 +341,37 @@ class GuardCache:
         self.hits += 1
         return value
 
-    def d1_addition_allowed(self, state: int, label: str) -> bool:
-        """``A(add, label)`` at the root of the canonical depth-1 *state*."""
-        return self._d1_projected("1a", label, state, self.d1_plan(label)[0])
-
     def d1_deletion_allowed(self, state: int, label: str) -> bool:
         """``A(del, label)`` at the root of the canonical depth-1 *state*."""
-        return self._d1_projected("1d", label, state, self.d1_plan(label)[1])
+        try:
+            predicate, support = self._d1_del[label]
+        except KeyError:
+            predicate, support = self._d1_del[label] = self._d1_probe(
+                self._rules.rule(AccessRight.DEL, (label,))
+            )
+        projection = state & support
+        key = ("1d", label, projection)
+        try:
+            value = self._cache[key]
+        except KeyError:
+            return self._miss(key, projection, predicate)
+        self.hits += 1
+        return value
 
     def d1_completion(self, state: int) -> bool:
         """Whether the canonical depth-1 *state* satisfies the completion."""
         probe = self._d1_completion
         if probe is None:
             probe = self._d1_completion = self._d1_probe(self._form.completion)
-        return self._d1_projected("1p", None, state, probe)
+        predicate, support = probe
+        projection = state & support
+        key = ("1p", None, projection)
+        try:
+            value = self._cache[key]
+        except KeyError:
+            return self._miss(key, projection, predicate)
+        self.hits += 1
+        return value
 
     # ------------------------------------------------------------------ #
     # bookkeeping

@@ -100,7 +100,8 @@ def _extract_depth1(
         start=start, strategy=frontier, resume=resume, step_limit=step_limit
     )
     lts = LabelledTransitionSystem(initial=_depth1_state_name(graph.initial))
-    complete = engine.complete_depth1_states(graph)
+    completion = engine.guards.d1_completion
+    complete = {graph.label_set(mask) for mask in graph.masks if completion(mask)}
     for state in graph.states:
         lts.add_state(
             _depth1_state_name(state),

@@ -1,5 +1,6 @@
 """Property-based tests for the decision procedures."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +11,8 @@ from repro.analysis.completability import (
 )
 from repro.analysis.results import ExplorationLimits
 from repro.analysis.semisoundness import semisoundness_depth1
-from repro.analysis.statespace import explore_depth1
+from repro.analysis.statespace import explore_depth1, legacy_explore_depth1
+from repro.benchgen.families import sat_completability_family, sat_semisoundness_family
 from repro.benchgen.random_forms import random_depth1_guarded_form
 from repro.core.canonical import canonical_depth1_state
 from repro.core.runs import greedy_random_run
@@ -134,3 +136,93 @@ class TestBoundedExplorerConsistency:
             assert bounded.answer == exact.answer
         else:
             assert bounded.answer is None
+
+
+def label_set_verdict(form, kind: str) -> dict:
+    """The depth-1 verdict of *kind* computed on label sets over
+    ``legacy_explore_depth1``: the reference the mask procedures match."""
+    graph = legacy_explore_depth1(form)
+    reachable = graph.reachable_from(graph.initial)
+    complete = graph.satisfying_states(form.is_complete)
+    transitions = sum(len(edges) for edges in graph.transitions.values())
+    if kind == "completability":
+        witnesses = sorted(reachable & complete, key=sorted)
+        return {
+            "answer": bool(witnesses),
+            "run": graph.run_to(witnesses[0]).updates if witnesses else None,
+            "counterexample": None,
+            "stats": {
+                "canonical_states": len(graph.states),
+                "complete_states": len(witnesses),
+                "transitions": transitions,
+            },
+        }
+    stuck = sorted(reachable - graph.backward_closure(complete), key=sorted)
+    return {
+        "answer": not stuck,
+        "run": graph.run_to(stuck[0]).updates if stuck else None,
+        "counterexample": stuck[0] if stuck else None,
+        "stats": {
+            "canonical_states": len(graph.states),
+            "transitions": transitions,
+            "reachable_states": len(reachable),
+            "incompletable_reachable_states": len(stuck),
+        },
+    }
+
+
+def mask_verdict(form, kind: str) -> dict:
+    """The same summary of the mask-based depth-1 procedure."""
+    procedure = completability_depth1 if kind == "completability" else semisoundness_depth1
+    result = procedure(form)
+    counterexample = result.counterexample
+    return {
+        "answer": result.answer,
+        "run": result.witness_run.updates if result.witness_run is not None else None,
+        "counterexample": (
+            canonical_depth1_state(counterexample) if counterexample is not None else None
+        ),
+        "stats": {key: value for key, value in result.stats.items() if key != "engine"},
+    }
+
+
+KINDS = ("completability", "semisoundness")
+
+#: no pinned example budget: the default profile's locally, the raised
+#: ``ci`` profile's in CI's property job
+MASK_SETTINGS = settings(deadline=None)
+
+
+class TestMaskProceduresMatchLabelSets:
+    """The depth-1 procedures decide on state masks; on every form, for both
+    problems and both verdicts, they give the answer, witness run,
+    counterexample and counts a label-set computation on the reference
+    explorer gives."""
+
+    @MASK_SETTINGS
+    @given(form=arbitrary_forms(), kind=st.sampled_from(KINDS))
+    def test_random_forms(self, form, kind):
+        assert mask_verdict(form, kind) == label_set_verdict(form, kind)
+
+    @MASK_SETTINGS
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        variables=st.integers(min_value=3, max_value=4),
+        ratio=st.sampled_from([2.0, 4.3, 6.0]),
+        kind=st.sampled_from(KINDS),
+    )
+    def test_sat_families(self, seed, variables, ratio, kind):
+        family = sat_completability_family if kind == "completability" else sat_semisoundness_family
+        form, _ = family(variables, clause_ratio=ratio, seed=seed)
+        assert mask_verdict(form, kind) == label_set_verdict(form, kind)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_sat_families_cover_both_verdicts(self, kind):
+        family = sat_completability_family if kind == "completability" else sat_semisoundness_family
+        answers = set()
+        for seed in range(12):
+            form, _ = family(4, clause_ratio=6.0, seed=seed)
+            verdict = mask_verdict(form, kind)
+            assert verdict == label_set_verdict(form, kind)
+            answers.add(verdict["answer"])
+        assert answers == {True, False}
