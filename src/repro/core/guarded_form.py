@@ -68,6 +68,12 @@ class GuardedForm:
         completion: the completion formula ``φ`` (a formula or concrete
             syntax string), evaluated at the root.
         name: an optional human-readable name used in reports.
+
+    A built form is never edited: its name is read-only, and its schema and
+    rule table must not change after construction.  One form object
+    therefore serves every analysis that resolves the same inline form
+    (:func:`repro.catalog.resolve_form`), and it carries its own
+    :func:`~repro.io.serialization.form_fingerprint` once computed.
     """
 
     def __init__(
@@ -93,11 +99,19 @@ class GuardedForm:
             initial_instance = Instance.empty(schema)
         initial_instance.validate()
         self._initial = initial_instance.copy()
-        self.name = name
+        self._name = name
+        #: the form's fingerprint, filled in by its first
+        #: :func:`repro.io.serialization.form_fingerprint` call
+        self._fingerprint: Optional[str] = None
 
     # ------------------------------------------------------------------ #
     # components
     # ------------------------------------------------------------------ #
+
+    @property
+    def name(self) -> str:
+        """The human-readable name used in reports (read-only)."""
+        return self._name
 
     @property
     def schema(self) -> Schema:

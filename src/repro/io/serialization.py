@@ -30,7 +30,8 @@ the persistent :mod:`repro.engine.store` backends use for their rows:
   engine stores in place of a representative it has not derived;
   :func:`decode_representative_row` reads either kind of row;
 * :func:`form_fingerprint` — a digest of a guarded form's definition, used by
-  the stores to refuse resuming against the wrong form.
+  the stores to refuse resuming against the wrong form and by the result
+  cache's keys; computed once per form object.
 """
 
 from __future__ import annotations
@@ -429,7 +430,13 @@ def form_fingerprint(guarded_form: GuardedForm) -> str:
 
     Persistent stores record it on first use and refuse to attach to a
     different form: interned shapes, representatives and checkpoints are only
-    meaningful for the exact form that produced them.
+    meaningful for the exact form that produced them.  The result-cache key
+    starts with it too.  A form is never edited once built, so the digest is
+    computed once per form object and kept on the form.
     """
-    canonical = json.dumps(guarded_form_to_dict(guarded_form), sort_keys=True, **_JSON_COMPACT)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    fingerprint = guarded_form._fingerprint
+    if fingerprint is None:
+        canonical = json.dumps(guarded_form_to_dict(guarded_form), sort_keys=True, **_JSON_COMPACT)
+        fingerprint = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        guarded_form._fingerprint = fingerprint
+    return fingerprint

@@ -268,39 +268,41 @@ def result_cache_key(request: AnalysisRequest) -> Optional[bytes]:
     return f"{form_fingerprint(form)}|{digest}".encode("ascii")
 
 
-def result_cache_probe(request: AnalysisRequest) -> Optional[dict]:
-    """The memoized wire body for *request*, or ``None`` on a miss.
+def result_cache_probe(request: AnalysisRequest) -> "tuple[Optional[bytes], Optional[dict]]":
+    """The result-cache key of *request* and its memoized wire body.
 
-    The cached value is the byte-exact ``analysis-result/1`` body a cold
-    run produced (stored as canonical JSON), so a warm answer is
-    bit-identical to the run that populated the entry — the differential
-    suite pins this per analysis kind.
+    Returns ``(key, body)``: *key* is ``None`` when there is no ambient
+    cache or the request must not cache (:func:`result_cache_key`), and
+    *body* is ``None`` on a miss.  Pass *key* on to
+    :func:`result_cache_store` so that a cold request resolves its form and
+    computes its key once.  The cached value is the byte-exact
+    ``analysis-result/1`` body a cold run produced (stored as canonical
+    JSON), so a warm answer is bit-identical to the run that populated the
+    entry — the differential suite pins this per analysis kind.
     """
     kv = default_cache()
     if kv is None:
-        return None
+        return None, None
     key = result_cache_key(request)
     if key is None:
-        return None
+        return None, None
     raw = kv.get("results", key)
     if raw is None:
-        return None
+        return key, None
     try:
         body = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError):
-        return None  # a corrupt entry is just a miss; the run recomputes it
+        return key, None  # a corrupt entry is just a miss; the run recomputes it
     if not isinstance(body, dict) or body.get("api") != RESULT_API_VERSION:
-        return None
-    return body
+        return key, None
+    return key, body
 
 
-def result_cache_store(request: AnalysisRequest, body: dict) -> None:
-    """Offer one completed wire *body* to the result cache."""
+def result_cache_store(key: Optional[bytes], body: dict) -> None:
+    """Offer one completed wire *body* to the result cache under *key*, the
+    request's :func:`result_cache_key` (``None``: nothing is stored)."""
     kv = default_cache()
-    if kv is None:
-        return
-    key = result_cache_key(request)
-    if key is None:
+    if kv is None or key is None:
         return
     kv.put("results", key, json.dumps(body, separators=(",", ":")).encode("utf-8"))
     kv.flush()  # a result is durable the moment it is announced
@@ -315,16 +317,16 @@ def run_analysis_wire(payload: object) -> "tuple[int, dict]":
     HTTP answers are pinned identical to library behaviour.  With an
     ambient cache (:func:`repro.cache.default_cache`), cacheable requests
     probe the ``results`` namespace first and publish their encoded body
-    after a cold run.
+    after a cold run under the key the probe computed.
     """
     try:
         request = request_from_wire(payload)
-        cached = result_cache_probe(request)
+        key, cached = result_cache_probe(request)
         if cached is not None:
             return 200, cached
         result = run_analysis(request)
     except Exception as error:  # noqa: BLE001 — the boundary encodes, never raises
         return http_status(error), error_payload(error)
     body = result_to_wire(result)
-    result_cache_store(request, body)
+    result_cache_store(key, body)
     return 200, body

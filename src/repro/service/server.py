@@ -45,6 +45,7 @@ from typing import Optional
 from urllib.parse import urlparse
 
 from repro.cache import default_cache, open_kv, use_cache
+from repro.catalog import FORM_MEMO
 from repro.exceptions import (
     AdmissionError,
     EvictionError,
@@ -321,6 +322,7 @@ class PodServer:
             "admitted_kb": self.jobs.admitted_budget_kb(),
             "admittable_kb": self.admission.admittable_kb,
             "stall_families": self.stalls.snapshot(),
+            "form_memo": FORM_MEMO.stats(),
         }
         if cache_stats is not None:
             body["cache"] = cache_stats
@@ -370,11 +372,15 @@ class PodServer:
             return
         family = request_family(request)
         # a memoized identical submission needs no worker slices at all: the
-        # probe keys on the *original* request (the slice/store rewrites
-        # below are execution detail), and the stored body is byte-exact
-        # what a cold run of this job announced
-        with use_cache(self.cache):
-            cached = result_cache_probe(request)
+        # key is the *original* request's (the slice/store rewrites below
+        # are execution detail), and the stored body is byte-exact what a
+        # cold run of this job announced
+        try:
+            with use_cache(self.cache):
+                key, cached = result_cache_probe(request)  # resolves the form
+        except Exception as error:  # noqa: BLE001 — job faults become payloads
+            self._fail(job.job_id, error)
+            return
         if cached is not None:
             self.jobs.finish(job.job_id, cached)
             self.telemetry.metrics.counter("service.jobs.done", kind=request.kind).inc()
@@ -421,16 +427,12 @@ class PodServer:
                     resume = True
                     continue
                 except Exception as error:  # noqa: BLE001 — job faults become payloads
-                    self.jobs.fail(job.job_id, error_payload(error), http_status(error))
-                    self.telemetry.metrics.counter("service.jobs.failed").inc()
-                    self.telemetry.instant(
-                        "job.failed", job=job.job_id, code=error_payload(error)["error"]["code"]
-                    )
+                    self._fail(job.job_id, error)
                     return
                 self.stalls.record(family, time.monotonic() - started)
                 body = result_to_wire(result)
                 with use_cache(self.cache):
-                    result_cache_store(request, body)
+                    result_cache_store(key, body)
                 self.jobs.finish(job.job_id, body)
                 self.telemetry.metrics.counter(
                     "service.jobs.done", kind=request.kind
@@ -442,6 +444,13 @@ class PodServer:
             self._absorb(recorder)
             self._remove_job_store(self.jobs.get(job.job_id))
             self._wake.set()
+
+    def _fail(self, job_id: str, error: Exception) -> None:
+        self.jobs.fail(job_id, error_payload(error), http_status(error))
+        self.telemetry.metrics.counter("service.jobs.failed").inc()
+        self.telemetry.instant(
+            "job.failed", job=job_id, code=error_payload(error)["error"]["code"]
+        )
 
     def _evict(self, job_id: str, family: str) -> None:
         record = self.jobs.get(job_id)

@@ -116,7 +116,7 @@ class TestResultMemoization:
         assert result_cache_key(stepped) is None
         kv = MemoryKV()
         with use_cache(kv):
-            assert result_cache_probe(stored) is None
+            assert result_cache_probe(stored) == (None, None)
         assert kv.stats()["namespaces"]["results"]["misses"] == 0
 
     def test_corrupt_cache_entry_falls_back_to_a_real_run(self):
@@ -205,3 +205,57 @@ def test_request_fingerprint_is_stable_across_processes():
     })
     assert result_cache_key(rebuilt) == key
     assert request_to_wire(request) == request_to_wire(rebuilt)
+
+
+#: A fixed inline form (the single-period leave application, written out)
+#: and the fingerprint and result-cache keys that earlier builds computed
+#: for it.  Engine stores record the fingerprint and KV result entries are
+#: stored under the keys, so both must keep matching across releases.
+GOLDEN_FORM = {
+    "name": "leave application (single period)",
+    "schema": {
+        "a": {"d": {}, "n": {}, "p": {"b": {}, "e": {}}},
+        "d": {"a": {}, "r": {"r": {}}},
+        "f": {},
+        "s": {},
+    },
+    "rules": {
+        "a": ["¬a", "¬a"],
+        "a/d": ["¬../s ∧ ¬d", "¬../s"],
+        "a/n": ["¬../s ∧ ¬n", "¬../s"],
+        "a/p": ["¬../s ∧ ¬p", "¬../s"],
+        "a/p/b": ["¬../../s ∧ ¬b", "¬../../s"],
+        "a/p/e": ["¬../../s ∧ ¬e", "¬../../s"],
+        "d": ["s ∧ ¬d", "¬f"],
+        "d/a": ["¬(a ∨ r)", "¬../f"],
+        "d/r": ["¬(a ∨ r)", "¬../f"],
+        "d/r/r": ["¬r", "¬../../f"],
+        "f": ["d[a ∨ r] ∧ ¬f", "¬f"],
+        "s": ["¬s ∧ a[n ∧ d ∧ p] ∧ ¬a/p[¬b ∨ ¬e]", "¬s"],
+    },
+    "initial_instance": {"label": "r", "children": []},
+    "completion": "f",
+}
+GOLDEN_FINGERPRINT = "4d58be06bb84e85bb9b5d8bc288331324af1441a5fea5d90a05f695c0d35795b"
+
+
+def test_fingerprint_and_cache_keys_of_a_fixed_form_are_pinned():
+    from repro.catalog import resolve_form
+    from repro.io.serialization import form_fingerprint, guarded_form_from_dict
+
+    assert form_fingerprint(guarded_form_from_dict(GOLDEN_FORM)) == GOLDEN_FINGERPRINT
+    # resolved twice: the second is the memoised form and its kept digest
+    for _ in range(2):
+        assert form_fingerprint(resolve_form(GOLDEN_FORM)) == GOLDEN_FINGERPRINT
+        completability = AnalysisRequest(form=GOLDEN_FORM, kind="completability")
+        assert result_cache_key(completability) == (
+            f"{GOLDEN_FINGERPRINT}|"
+            "1d7f1bf4b2bfb00e98ef845ffa56dce47a54ffdd09eac86414d7ed8882286591"
+        ).encode("ascii")
+        reach = AnalysisRequest(
+            form=GOLDEN_FORM, kind="reach", formula="s", max_states=500
+        )
+        assert result_cache_key(reach) == (
+            f"{GOLDEN_FINGERPRINT}|"
+            "1d1d58fa7673d22af17f7016f82c4b4fbfaa7c5ec520b5b4ccaba449b514897b"
+        ).encode("ascii")

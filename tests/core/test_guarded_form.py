@@ -137,6 +137,13 @@ class TestConstructionAndMetadata:
         assert form.initial_instance().has_path("a")
         assert form.schema_depth() == 1
 
+    def test_name_is_read_only(self, leave_form):
+        """Forms are shared between analyses and carry a fingerprint that
+        covers the name, so the name cannot be reassigned."""
+        with pytest.raises(AttributeError):
+            leave_form.name = "renamed"
+        assert leave_form.with_completion("f", name="renamed").name == "renamed"
+
     def test_mismatched_rule_schema_rejected(self):
         schema = depth_one_schema(["a"])
         other = depth_one_schema(["a", "b"])

@@ -324,6 +324,26 @@ class TestLiveServer:
         finally:
             server.shutdown()
 
+    def test_malformed_inline_form_fails_its_job_and_the_worker_goes_on(self, tmp_path):
+        """With a result cache the worker resolves the form to key the
+        probe; a form that does not decode fails that job with its typed
+        error, and the same worker then runs the next job."""
+        server, client = live_pod(tmp_path, workers=1)
+        try:
+            form = guarded_form_to_dict(sat_completability_family(3, seed=1)[0])
+            form["completion"] = "((("
+            bad = client.submit(AnalysisRequest(form=form, kind="completability"))
+            assert client.wait(bad["job_id"], timeout=30)["state"] == "failed"
+            with pytest.raises(ServiceRemoteError) as info:
+                client.result(bad["job_id"])
+            assert info.value.code == "malformed-form"
+            good = client.submit(
+                AnalysisRequest(form="leave-application-finite", kind="completability")
+            )
+            assert client.wait(good["job_id"], timeout=30)["state"] == "done"
+        finally:
+            server.shutdown()
+
     def test_graceful_restart_resumes_and_converges(self, tmp_path):
         request = AnalysisRequest(
             form="leave-application", kind="completability", max_states=400
@@ -375,6 +395,17 @@ class TestLiveServer:
             assert "completability:leave-application-finite" in payload[
                 "stall_families"
             ]
+            memo = payload["form_memo"]
+            assert set(memo) == {"hits", "misses", "entries", "capacity"}
+            assert 0 <= memo["entries"] <= memo["capacity"]
+            # an inline form is decoded once; its repeat is a memo hit
+            inline = guarded_form_to_dict(sat_completability_family(3, seed=2)[0])
+            for _ in range(2):
+                job = client.submit(AnalysisRequest(form=inline, kind="completability"))
+                client.wait(job["job_id"])
+            after = client.metrics()["form_memo"]
+            assert after["misses"] - memo["misses"] <= 1
+            assert after["hits"] > memo["hits"]
             health = client.health()
             assert health["ok"] is True
         finally:
